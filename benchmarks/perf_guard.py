@@ -407,6 +407,19 @@ def bench_engine_packet_read_64B() -> float:
     return _rate(run, nreads)
 
 
+def bench_cluster_build_16node() -> float:
+    """Builds/s of the default 16-node cluster: the set-up cost every
+    packet-tier run pays before its first event (256 per-core caches
+    whose per-set state must stay lazy)."""
+    builds = 10
+
+    def run():
+        for _ in range(builds):
+            Cluster(ClusterConfig())
+
+    return _rate(run, builds)
+
+
 # ---------------------------------------------------------------------------
 # Suite driver
 # ---------------------------------------------------------------------------
@@ -432,7 +445,13 @@ SUITES: dict = {
             "cached_read_4K": bench_packet_cached_read_4K,
             "coherent_read_4K": bench_packet_coherent_read_4K,
             "btree_packet_search": bench_packet_btree_search,
+            "cluster_build_16node": bench_cluster_build_16node,
         },
+        # cluster_build_16node has no seed fn: its seed is the eager
+        # per-set cache engine (every set of every cache allocated at
+        # construction), which no longer exists in the tree. Its rate,
+        # measured with this exact bench body, is committed in
+        # BENCH_packettier.json's seed_ops_per_sec.
         {
             "cached_read_4K": functools.partial(
                 bench_packet_cached_read_4K, batch=False

@@ -103,25 +103,44 @@ class SessionAccessor:
         self.write(addr, np.ascontiguousarray(values).tobytes())
 
     def bulk_write(self, addr: int, data: bytes) -> None:
-        """Untimed population: write straight into functional memory.
+        """Untimed population: write straight into functional memory."""
+        fn_write = self.session.cluster.fn_write
+        for paddr, pos, take in self._functional_pieces(addr, len(data)):
+            fn_write(paddr, data[pos : pos + take])
 
-        Translations are page-granular, so the write is split at every
+    def bulk_read(self, addr: int, size: int) -> bytes:
+        """Untimed read straight from functional memory — the mirror of
+        :meth:`bulk_write` for population phases that must inspect what
+        they wrote. No cache, RMC or fabric is touched and simulated
+        time does not advance."""
+        fn_read = self.session.cluster.fn_read
+        return b"".join(
+            fn_read(paddr, take)
+            for paddr, _, take in self._functional_pieces(addr, size)
+        )
+
+    def _functional_pieces(self, addr: int, size: int):
+        """Yield ``(prefixed paddr, offset, length)`` for each piece of
+        ``[addr, addr + size)``.
+
+        Translations are page-granular, so the range is split at every
         page boundary (frames may live on different donors).
         """
-        page = self.session.aspace.page_bytes
+        aspace = self.session.aspace
+        page = aspace.page_bytes
         node = self.session.node
         pos = 0
         vaddr = self.base + addr
-        while pos < len(data):
-            t = self.session.aspace.translate(vaddr + pos)
+        while pos < size:
+            t = aspace.translate(vaddr + pos)
             boundary = (t.phys_addr // page + 1) * page
-            take = min(len(data) - pos, boundary - t.phys_addr)
+            take = min(size - pos, boundary - t.phys_addr)
             prefixed = (
                 t.phys_addr
                 if node.amap.node_of(t.phys_addr)
                 else node.amap.encode(node.node_id, t.phys_addr)
             )
-            self.session.cluster.fn_write(prefixed, data[pos : pos + take])
+            yield prefixed, pos, take
             pos += take
 
 
@@ -200,6 +219,9 @@ class TraceRecorder:
 
     def bulk_write(self, addr: int, data: bytes) -> None:
         self.inner.bulk_write(addr, data)
+
+    def bulk_read(self, addr: int, size: int) -> bytes:
+        return self.inner.bulk_read(addr, size)
 
     def compute(self, ns: float) -> None:
         self.inner.compute(ns)

@@ -129,7 +129,10 @@ class HashIndex:
         values = np.asarray(values, dtype=np.uint64)
         if keys.shape != values.shape:
             raise ConfigError("keys and values must align")
+        # probe reads are untimed too: straight from the backing store,
+        # or the accessor's functional read where there is none
         backing = getattr(self.accessor, "backing", None)
+        read = backing.read if backing is not None else self.accessor.bulk_read
         for k, v in zip(keys, values):
             k = int(k)
             if k == 0:
@@ -137,12 +140,7 @@ class HashIndex:
             slot = self._slot_of(k)
             while True:
                 addr = self._slot_addr(slot)
-                if backing is not None:
-                    existing = backing.read_u64(addr)
-                else:
-                    existing = int.from_bytes(
-                        self.accessor.read(addr, 8), "little"
-                    )
+                existing = int.from_bytes(read(addr, 8), "little")
                 if existing == 0:
                     self.accessor.bulk_write(
                         addr,

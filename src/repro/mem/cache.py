@@ -15,12 +15,14 @@ Two engines live here:
   a whole span of lines as hits/misses/write-backs in one vectorized
   pass. The tag array is materialized lazily on the first batched
   access, so caches that only ever see scalar traffic (the packet
-  tier) pay nothing for it.
+  tier) pay nothing for it. Per-set state is likewise allocated on the
+  set's first miss, so a cache costs only the sets a run touches.
 * :class:`ReferenceCache` — the original per-set ``OrderedDict`` model,
-  kept verbatim as the executable specification. The differential
-  property tests in ``tests/mem/test_cache.py`` drive identical traces
-  through both engines and require bit-identical stats, residency and
-  dirtiness.
+  kept as the executable specification (only its per-set storage is
+  lazy). The differential property tests in
+  ``tests/mem/test_cache_differential.py`` drive identical traces
+  through both engines and require bit-identical stats, residency,
+  dirtiness and flush output.
 
 Lines are identified by *line address* (byte address // line size);
 callers that have full addresses use :meth:`Cache.line_of`.
@@ -148,14 +150,12 @@ class Cache:
         self._nsets = config.num_sets
         self._ways = config.associativity
         self._wb = config.write_back
-        #: per-set recency queue: line -> way slot, LRU-first order
-        self._sets: list[OrderedDict[int, int]] = [
-            OrderedDict() for _ in range(self._nsets)
-        ]
-        #: per-set free way slots (popped LIFO on install)
-        self._free: list[list[int]] = [
-            list(range(self._ways - 1, -1, -1)) for _ in range(self._nsets)
-        ]
+        #: per-set recency queue: line -> way slot, LRU-first order;
+        #: ``None`` until the set's first miss (see :meth:`_new_set`)
+        self._sets: list[Optional[OrderedDict[int, int]]] = [None] * self._nsets
+        #: per-set free way slots (popped LIFO on install); allocated
+        #: together with the set's recency queue
+        self._free: list[Optional[list[int]]] = [None] * self._nsets
         #: dirty line addresses (resident lines only)
         self._dirty: set[int] = set()
         #: lazy NumPy mirror of the tag array, (num_sets, ways), -1 =
@@ -173,6 +173,17 @@ class Cache:
     def set_of(self, line: int) -> int:
         return line % self._nsets
 
+    def _new_set(self, si: int) -> OrderedDict[int, int]:
+        """Allocate set *si*'s recency queue and free-way list.
+
+        Per-set state is created on the set's first miss, so building a
+        cache costs O(1) in its set count and a run pays only for the
+        sets it touches.
+        """
+        s = self._sets[si] = OrderedDict()
+        self._free[si] = list(range(self._ways - 1, -1, -1))
+        return s
+
     # -- core operation ----------------------------------------------------
     def access(self, line: int, is_write: bool) -> AccessResult:
         """Touch *line*; returns hit/miss and any eviction.
@@ -183,6 +194,8 @@ class Cache:
         """
         si = line % self._nsets
         s = self._sets[si]
+        if s is None:
+            s = self._new_set(si)
         w = s.get(line)
         if w is not None:
             s.move_to_end(line)
@@ -367,6 +380,8 @@ class Cache:
                 si = sets_l[i]
                 line = lines_l[i]
                 s = set_list[si]
+                if s is None:
+                    s = self._new_set(si)
                 fr = free_list[si]
                 if fr:
                     w = fr.pop()
@@ -402,13 +417,15 @@ class Cache:
     def _materialize_tags(self) -> None:
         tags = np.full((self._nsets, self._ways), -1, dtype=np.int64)
         for si, s in enumerate(self._sets):
-            for line, w in s.items():
-                tags[si, w] = line
+            if s is not None:
+                for line, w in s.items():
+                    tags[si, w] = line
         self._tags = tags
 
     # -- coherence hooks ---------------------------------------------------
     def contains(self, line: int) -> bool:
-        return line in self._sets[line % self._nsets]
+        s = self._sets[line % self._nsets]
+        return s is not None and line in s
 
     def is_dirty(self, line: int) -> bool:
         return line in self._dirty
@@ -421,7 +438,8 @@ class Cache:
         across nodes.
         """
         si = line % self._nsets
-        w = self._sets[si].pop(line, None)
+        s = self._sets[si]
+        w = s.pop(line, None) if s is not None else None
         if w is None:
             raise CoherenceError(
                 f"{self.name}: invalidate of non-resident line {line:#x}"
@@ -442,14 +460,16 @@ class Cache:
         """
         dirty_set = self._dirty
         dirty: list[int] = []
-        for si, s in enumerate(self._sets):
-            if dirty_set:
-                for line in s:
-                    if line in dirty_set:
-                        dirty.append(line)
-            if s:
-                s.clear()
-                self._free[si] = list(range(self._ways - 1, -1, -1))
+        if dirty_set:
+            # set-index order, then LRU order within a set: the
+            # write-back order the reference model produces
+            for s in self._sets:
+                if s:
+                    for line in s:
+                        if line in dirty_set:
+                            dirty.append(line)
+        self._sets = [None] * self._nsets
+        self._free = [None] * self._nsets
         dirty_set.clear()
         if self._tags is not None:
             self._tags.fill(-1)
@@ -459,7 +479,7 @@ class Cache:
 
     @property
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets if s is not None)
 
 
 def _combine_blocks(parts: list[BlockResult]) -> BlockResult:
@@ -511,11 +531,12 @@ class ReferenceCache:
 
     config: CacheConfig
     name: str = "cache"
-    _sets: list[OrderedDict[int, _Line]] = field(init=False, repr=False)
+    #: per-set recency queues, ``None`` until the set's first miss
+    _sets: list[Optional[OrderedDict[int, _Line]]] = field(init=False, repr=False)
     stats: CacheStats = field(init=False)
 
     def __post_init__(self) -> None:
-        self._sets = [OrderedDict() for _ in range(self.config.num_sets)]
+        self._sets = [None] * self.config.num_sets
         self.stats = CacheStats()
 
     # -- geometry -------------------------------------------------------------
@@ -527,7 +548,10 @@ class ReferenceCache:
 
     # -- core operation ----------------------------------------------------
     def access(self, line: int, is_write: bool) -> AccessResult:
-        s = self._sets[self.set_of(line)]
+        si = self.set_of(line)
+        s = self._sets[si]
+        if s is None:
+            s = self._sets[si] = OrderedDict()
         entry = s.get(line)
         if entry is not None:
             s.move_to_end(line)
@@ -550,16 +574,20 @@ class ReferenceCache:
         return AccessResult(hit=False, evicted=evicted, writeback=writeback)
 
     # -- coherence hooks ---------------------------------------------------
+    def _entry(self, line: int) -> Optional[_Line]:
+        s = self._sets[self.set_of(line)]
+        return s.get(line) if s is not None else None
+
     def contains(self, line: int) -> bool:
-        return line in self._sets[self.set_of(line)]
+        return self._entry(line) is not None
 
     def is_dirty(self, line: int) -> bool:
-        entry = self._sets[self.set_of(line)].get(line)
+        entry = self._entry(line)
         return bool(entry and entry.dirty)
 
     def invalidate(self, line: int) -> bool:
         s = self._sets[self.set_of(line)]
-        entry = s.pop(line, None)
+        entry = s.pop(line, None) if s is not None else None
         if entry is None:
             raise CoherenceError(
                 f"{self.name}: invalidate of non-resident line {line:#x}"
@@ -570,6 +598,8 @@ class ReferenceCache:
     def flush(self) -> list[int]:
         dirty: list[int] = []
         for s in self._sets:
+            if s is None:
+                continue
             for line, entry in list(s.items()):
                 if entry.dirty:
                     dirty.append(line)
@@ -580,4 +610,4 @@ class ReferenceCache:
 
     @property
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets if s is not None)

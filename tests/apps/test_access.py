@@ -51,6 +51,20 @@ class TestSessionAccessor:
         assert acc.time_ns == t0
         assert acc.read(3000, len(payload)) == payload
 
+    def test_bulk_read_untimed_and_matches(self, small_cluster):
+        app = small_cluster.session(1)
+        app.borrow_remote(2, mib(8))
+        acc = SessionAccessor(app, capacity=mib(1),
+                              placement=Placement.REMOTE)
+        payload = bytes(range(256)) * 64  # spans multiple pages
+        acc.bulk_write(3000, payload)
+        sim = small_cluster.sim
+        t0, events0 = acc.time_ns, sim.events_scheduled
+        assert acc.bulk_read(3000, len(payload)) == payload
+        assert acc.time_ns == t0
+        assert sim.events_scheduled == events0
+        assert acc.read(3000, len(payload)) == payload
+
     def test_compute_advances_clock(self, small_cluster):
         app = small_cluster.session(1)
         acc = SessionAccessor(app, capacity=mib(1),
@@ -105,4 +119,12 @@ class TestTraceRecorder:
     def test_bulk_write_not_traced(self, lat):
         rec = TraceRecorder(LocalMemAccessor(lat, BackingStore(1 << 20)))
         rec.bulk_write(0, bytes(100))
+        assert rec.trace == []
+
+    def test_bulk_read_not_traced(self, small_cluster):
+        app = small_cluster.session(1)
+        rec = TraceRecorder(SessionAccessor(app, capacity=mib(1),
+                                            placement=Placement.LOCAL))
+        rec.bulk_write(8, b"payload")
+        assert rec.bulk_read(8, 7) == b"payload"
         assert rec.trace == []

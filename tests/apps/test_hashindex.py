@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.access import SessionAccessor
 from repro.apps.hashindex import HashIndex
+from repro.cluster.malloc import Placement
 from repro.config import ClusterConfig
 from repro.errors import ConfigError
 from repro.mem.backing import BackingStore
 from repro.model.fastsim import LocalMemAccessor, RemoteMemAccessor
 from repro.model.latency import LatencyModel
+from repro.units import mib
 
 
 @pytest.fixture
@@ -83,6 +86,32 @@ def test_bulk_insert_is_untimed(lat):
     idx.bulk_insert(np.arange(1, 100, dtype=np.uint64),
                     np.arange(1, 100, dtype=np.uint64))
     assert idx.accessor.time_ns == t0
+
+
+def test_bulk_insert_is_untimed_on_packet_tier(small_cluster):
+    """A packet-tier accessor has no backing store to probe, so the
+    population probes must go through its untimed functional read:
+    no simulated time, no events and no cache traffic."""
+    sess = small_cluster.session(1)
+    sess.borrow_remote(2, mib(2))
+    acc = SessionAccessor(sess, mib(1), Placement.REMOTE, cached=True)
+    idx = HashIndex(acc, capacity=600)
+    sim = small_cluster.sim
+    caches = [c for n in small_cluster.nodes.values() for c in n.caches]
+
+    def snapshot():
+        return (sim.now, sim.events_scheduled,
+                [(c.stats.hits, c.stats.misses) for c in caches])
+
+    before = snapshot()
+    keys = np.arange(1, 300, dtype=np.uint64)
+    # a second batch probes over the first batch's occupied slots
+    idx.bulk_insert(keys[::2], keys[::2] * 3)
+    idx.bulk_insert(keys[1::2], keys[1::2] * 3)
+    assert snapshot() == before
+    assert idx.num_keys == 299
+    for k in (1, 150, 299):
+        assert idx.lookup(k) == k * 3
 
 
 def test_mean_probes_near_one_at_low_load(lat):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.config import CacheConfig
+from repro.errors import CoherenceError
 from repro.mem.cache import Cache, ReferenceCache
 
 
@@ -231,3 +232,76 @@ class TestEvictionInfo:
         assert r.evicted_lines.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
         assert r.wb_lines.tolist() == [0, 1, 2, 3]  # 4..7 were clean
         assert r.wb_miss_idx.tolist() == [0, 1, 2, 3]
+
+
+class TestLazySets:
+    """Per-set state is allocated on a set's first miss; a cache that
+    has touched only some sets must still behave like the spec."""
+
+    def _fill(self, cache, ref, set_order, ways: int, nsets: int) -> None:
+        for si in set_order:
+            for k in range(ways + 1):  # one eviction per set
+                line = si + k * nsets
+                a = cache.access(line, k % 2 == 0)
+                b = ref.access(line, k % 2 == 0)
+                assert (a.hit, a.evicted, a.writeback) == (
+                    b.hit, b.evicted, b.writeback)
+
+    @pytest.mark.parametrize("order", ["descending", "shuffled"])
+    def test_flush_writes_back_in_set_index_order(self, order):
+        ways, nsets = 2, 16
+        cfg = _tiny(ways=ways, sets=nsets)
+        cache, ref = Cache(cfg), ReferenceCache(cfg)
+        touched = list(range(1, nsets, 2))
+        if order == "descending":
+            touched.reverse()
+        else:
+            np.random.default_rng(3).shuffle(touched)
+        self._fill(cache, ref, touched, ways, nsets)
+        _assert_same_state(cache, ref, range(nsets * (ways + 1)))
+        flushed = cache.flush()
+        assert flushed == ref.flush()
+        sets = [line % nsets for line in flushed]
+        assert sets == sorted(sets) and set(sets) == set(touched)
+        assert cache.stats == ref.stats
+        assert cache.resident_lines == ref.resident_lines == 0
+        # the flushed cache starts over: every set misses again
+        self._fill(cache, ref, touched[::-1], ways, nsets)
+        assert cache.flush() == ref.flush()
+
+    def test_untouched_set_contains_and_invalidate(self):
+        cfg = _tiny(ways=2, sets=8)
+        cache, ref = Cache(cfg), ReferenceCache(cfg)
+        for c in (cache, ref):
+            c.access(1, True)  # touches set 1 only
+            assert not c.contains(3)
+            assert not c.is_dirty(3)
+            with pytest.raises(CoherenceError):
+                c.invalidate(3)
+            # a touched set that does not hold the line raises too
+            with pytest.raises(CoherenceError):
+                c.invalidate(9)
+            assert c.invalidate(1) is True
+        assert cache.stats == ref.stats
+        assert cache.resident_lines == ref.resident_lines == 0
+
+    def test_partly_touched_cache_residency_and_tag_mirror(self):
+        cfg = _tiny(ways=2, sets=8)
+        cache, ref = Cache(cfg), ReferenceCache(cfg)
+        assert cache.resident_lines == ref.resident_lines == 0
+        for line in (2, 10, 5):  # sets 2 (twice) and 5
+            cache.access(line, False)
+            ref.access(line, False)
+        assert cache.resident_lines == ref.resident_lines == 3
+        # the first batched access materializes the tag mirror over a
+        # cache whose other sets were never allocated
+        res = cache.access_span(0, 8, True)
+        mask = [ref.access(line, True).hit for line in range(8)]
+        assert res.hits == sum(mask) == 2
+        assert res.hit_mask.tolist() == mask
+        for si in range(8):
+            resident = {line for line in range(24)
+                        if line % 8 == si and ref.contains(line)}
+            assert set(cache._tags[si][cache._tags[si] >= 0]) == resident
+        _assert_same_state(cache, ref, range(24))
+        assert cache.flush() == ref.flush()
