@@ -21,20 +21,20 @@ baseline for both suites, or for just the named one (do this when a
 deliberate change moves the numbers; commit the resulting JSON). Each
 file also keeps ``seed_ops_per_sec`` — the rates of the original
 per-line scalar implementation — so the speedup of the batched data
-path stays visible (``speedup_vs_seed``). For the packet tier the seed
-is the live ``batch=False`` scalar path: it is measured and recorded
-the first time the suite runs. For the engine tier the seed is the
-pre-rework heapq-only engine, measured once with these exact bench
-bodies before the bucketed-queue rework landed and committed as a
-constant (that implementation no longer exists in the tree; the
-``queue="heapq"`` reference mode shares the rework's other
-optimisations, so it is *not* the seed).
+path stays visible (``speedup_vs_seed``). Only the columnar tier still
+measures its seed live (the per-element ``*_ref`` loops), the first
+time the suite runs. The packet-tier and engine-tier seeds are
+committed constants, measured once with these exact bench bodies on
+implementations that no longer exist in the tree: the packet tier's
+per-line scalar data path (now a test-only spec, ``tests/spec/``),
+the eager per-set cache engine (``cluster_build_16node``), and the
+pre-rework heapq-only engine (the ``queue="heapq"`` reference mode
+shares the rework's other optimisations, so it is *not* the seed).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import statistics
 import sys
@@ -164,7 +164,7 @@ def _packet_session():
     return cluster, cluster.session(1)
 
 
-def bench_packet_cached_read_4K(batch: bool = True) -> float:
+def bench_packet_cached_read_4K() -> float:
     """Cold page-sized cached reads: 64-line miss bursts per op."""
     _, app = _packet_session()
     npages = 192
@@ -177,12 +177,12 @@ def bench_packet_cached_read_4K(batch: bool = True) -> float:
         base = next(it)
         read = app.read
         for i in range(npages):
-            read(base + i * PAGE_SIZE, PAGE_SIZE, batch=batch)
+            read(base + i * PAGE_SIZE, PAGE_SIZE)
 
     return _rate(run, npages)
 
 
-def bench_packet_coherent_read_4K(batch: bool = True) -> float:
+def bench_packet_coherent_read_4K() -> float:
     """Cold page-sized reads through the MESI domain's span path."""
     _, app = _packet_session()
     npages = 192
@@ -195,7 +195,7 @@ def bench_packet_coherent_read_4K(batch: bool = True) -> float:
         base = next(it)
         read = app.coherent_read
         for i in range(npages):
-            read(base + i * PAGE_SIZE, PAGE_SIZE, batch=batch)
+            read(base + i * PAGE_SIZE, PAGE_SIZE)
 
     return _rate(run, npages)
 
@@ -203,15 +203,14 @@ def bench_packet_coherent_read_4K(batch: bool = True) -> float:
 class _SessionAccessor:
     """Accessor-protocol adapter: a B-tree over the packet tier."""
 
-    def __init__(self, app, batch: bool) -> None:
+    def __init__(self, app) -> None:
         self.app = app
-        self.batch = batch
 
     def read(self, addr: int, size: int) -> bytes:
-        return self.app.read(addr, size, batch=self.batch)
+        return self.app.read(addr, size)
 
     def write(self, addr: int, data: bytes) -> None:
-        self.app.write(addr, data, batch=self.batch)
+        self.app.write(addr, data)
 
     def read_u64(self, addr: int) -> int:
         return int.from_bytes(self.read(addr, 8), "little")
@@ -233,7 +232,7 @@ class _SessionAccessor:
         pass  # search paths charge no compute
 
 
-def bench_packet_btree_search(batch: bool = True) -> float:
+def bench_packet_btree_search() -> float:
     """Database-style point lookups with every byte moved through real
     packets; nodes cache quickly, so this guards the single-line path."""
     from repro.apps.btree import BTree
@@ -241,7 +240,7 @@ def bench_packet_btree_search(batch: bool = True) -> float:
 
     _, app = _packet_session()
     base = app.malloc(mib(2), Placement.LOCAL)
-    acc = _SessionAccessor(app, batch)
+    acc = _SessionAccessor(app)
     tree = BTree(acc, children=168, arena=BumpAllocator(mib(2), base=base))
     tree.bulk_load(np.arange(1, 20_001, dtype=np.uint64))
     rng = np.random.default_rng(5)
@@ -447,22 +446,15 @@ SUITES: dict = {
             "btree_packet_search": bench_packet_btree_search,
             "cluster_build_16node": bench_cluster_build_16node,
         },
-        # cluster_build_16node has no seed fn: its seed is the eager
-        # per-set cache engine (every set of every cache allocated at
-        # construction), which no longer exists in the tree. Its rate,
-        # measured with this exact bench body, is committed in
-        # BENCH_packettier.json's seed_ops_per_sec.
-        {
-            "cached_read_4K": functools.partial(
-                bench_packet_cached_read_4K, batch=False
-            ),
-            "coherent_read_4K": functools.partial(
-                bench_packet_coherent_read_4K, batch=False
-            ),
-            "btree_packet_search": functools.partial(
-                bench_packet_btree_search, batch=False
-            ),
-        },
+        # No seed fns: every packet-tier seed is a committed constant
+        # in BENCH_packettier.json's seed_ops_per_sec, measured with
+        # these exact bench bodies on code that no longer exists in the
+        # tree. cached_read_4K, coherent_read_4K and btree_packet_search
+        # ran on the per-line scalar data path (now the test-only
+        # ScalarCore twin in tests/spec/core.py); cluster_build_16node
+        # ran on the eager per-set cache engine (every set of every
+        # cache allocated at construction).
+        {},
     ),
     # The columnar tier's committed `min_speedup_vs_seed` (10x) turns
     # the seed ratio into a gate: windows must stay an order of

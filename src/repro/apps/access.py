@@ -73,21 +73,15 @@ class SessionAccessor:
     def write_u64(self, addr: int, value: int) -> None:
         self.write(addr, int(value).to_bytes(8, "little", signed=False))
 
-    def read_array(
-        self, addr: int, count: int, dtype, batch: bool = True
-    ) -> np.ndarray:
+    def read_array(self, addr: int, count: int, dtype) -> np.ndarray:
         if not self.cached:
             dt = np.dtype(dtype)
             raw = self.read(addr, count * dt.itemsize)
             return np.frombuffer(raw, dtype=dt).copy()
         self.accesses += 1
-        return self.session.read_array(
-            self.base + addr, count, dtype, self.core, batch
-        )
+        return self.session.read_array(self.base + addr, count, dtype, self.core)
 
-    def view_array(
-        self, addr: int, count: int, dtype, batch: bool = True
-    ) -> np.ndarray:
+    def view_array(self, addr: int, count: int, dtype) -> np.ndarray:
         """Columnar window via :meth:`Session.view_array` — zero-copy
         over the owner's backing chunk when view-legal, a fresh copy
         otherwise. Uncached accessors have no span path to charge
@@ -95,9 +89,7 @@ class SessionAccessor:
         if not self.cached:
             return self.read_array(addr, count, dtype)
         self.accesses += 1
-        return self.session.view_array(
-            self.base + addr, count, dtype, self.core, batch
-        )
+        return self.session.view_array(self.base + addr, count, dtype, self.core)
 
     def write_array(self, addr: int, values: np.ndarray) -> None:
         self.write(addr, np.ascontiguousarray(values).tobytes())
@@ -206,12 +198,10 @@ class TraceRecorder:
         self._record(addr, count * dt.itemsize, False)
         return self.inner.read_array(addr, count, dtype)
 
-    def view_array(
-        self, addr: int, count: int, dtype, batch: bool = True
-    ) -> np.ndarray:
+    def view_array(self, addr: int, count: int, dtype) -> np.ndarray:
         dt = np.dtype(dtype)
         self._record(addr, count * dt.itemsize, False)
-        return self.inner.view_array(addr, count, dtype, batch=batch)
+        return self.inner.view_array(addr, count, dtype)
 
     def write_array(self, addr: int, values: np.ndarray) -> None:
         self._record(addr, values.nbytes, True)

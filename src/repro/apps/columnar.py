@@ -11,21 +11,20 @@ way the Arrow cluster-shared-memory work does — typed, zero-copy
 column views over shared regions — so a whole-column scan is a handful
 of `view_array` windows riding the `line_count` burst path.
 
-Operators come in pairs under the repo's batch discipline:
+Operators come in pairs:
 
-* :class:`ColumnScan` methods take ``batch=True``: windows are charged
-  through the vectorized span path (and, on the packet tier, coalesced
-  burst packets). ``batch=False`` forces the scalar per-line reference
-  path — identical simulated time, stats, and results, pinned by the
-  twin-cluster equivalence suites.
-* The ``*_ref`` functions are **per-element executable specs**: one
-  accessor call per element (`read_u64` loops). They define what each
-  operator must compute — the hypothesis differential suite compares
-  against them — and serve as the per-element baseline the
-  ``columnartier`` perf guard measures the speedup over. They are
-  *not* time-equivalent to the windowed operators (per-element cached
-  reads pay a hit per element, windows pay per line); only results
-  are comparable.
+* :class:`ColumnScan` methods charge their windows through the
+  accessor's vectorized span path (and, on the packet tier, coalesced
+  burst packets) — identical simulated time, stats, and results to the
+  per-line reference twins the equivalence suites install.
+* The ``*_ref`` functions are **per-element** loops: one accessor call
+  per element (`read_u64` loops). :func:`scan_sum_ref` and
+  :func:`select_ref` stay here as the baselines extension F and the
+  ``columnartier`` perf guard measure the speedup over; the other
+  per-element specs live with the differential suite
+  (``tests/spec/columnar.py``). They are *not* time-equivalent to the
+  windowed operators (per-element cached reads pay a hit per element,
+  windows pay per line); only results are comparable.
 
 A :class:`Column` may be **dense** (elements back to back) or
 **strided** (one field of a row-major table, e.g. MiniDB's key
@@ -37,7 +36,6 @@ line granularity.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +47,6 @@ __all__ = [
     "ColumnScan",
     "COLUMN_WINDOW_BYTES",
     "scan_sum_ref",
-    "scan_min_max_ref",
-    "count_where_ref",
     "select_ref",
 ]
 
@@ -140,18 +136,10 @@ class ColumnScan:
         self.accessor = accessor
         self.window_bytes = window_bytes
         view = getattr(accessor, "view_array", None)
-        self._viewfn = view if view is not None else accessor.read_array
-        self._takes_batch = (
-            "batch" in inspect.signature(self._viewfn).parameters
-        )
-
-    def _view(self, addr: int, count: int, dt: np.dtype, batch: bool):
-        if self._takes_batch:
-            return self._viewfn(addr, count, dt, batch=batch)
-        return self._viewfn(addr, count, dt)
+        self._view = view if view is not None else accessor.read_array
 
     # -- windowing --------------------------------------------------------
-    def windows(self, col: Column, batch: bool = True):
+    def windows(self, col: Column):
         """Stream *col* as ``(offset, values)`` windows.
 
         Dense columns split at ``window_bytes``-aligned address
@@ -169,7 +157,7 @@ class ColumnScan:
                 addr = col.addr + pos * item
                 boundary = (addr // self.window_bytes + 1) * self.window_bytes
                 take = min(col.count - pos, max(1, (boundary - addr) // item))
-                yield pos, self._view(addr, take, dt, batch)
+                yield pos, self._view(addr, take, dt)
                 pos += take
             return
         step = col.stride // item
@@ -179,28 +167,28 @@ class ColumnScan:
             take = min(col.count - pos, rows_per)
             addr = col.addr + pos * col.stride
             span = (take - 1) * step + 1
-            window = self._view(addr, span, dt, batch)
+            window = self._view(addr, span, dt)
             yield pos, window[::step]
             pos += take
 
     # -- operators --------------------------------------------------------
-    def sum(self, col: Column, batch: bool = True):
+    def sum(self, col: Column):
         """Aggregate sum — modulo 2**64 for ``uint64`` (hardware
         semantics), float otherwise."""
         if col.np_dtype.kind == "u":
             acc = 0
-            for _, w in self.windows(col, batch=batch):
+            for _, w in self.windows(col):
                 acc = (acc + int(np.sum(w, dtype=np.uint64))) & _U64_MASK
             return acc
         total = 0.0
-        for _, w in self.windows(col, batch=batch):
+        for _, w in self.windows(col):
             total += float(np.sum(w, dtype=np.float64))
         return total
 
-    def min_max(self, col: Column, batch: bool = True):
+    def min_max(self, col: Column):
         """``(min, max)`` over the column; ``(None, None)`` if empty."""
         lo = hi = None
-        for _, w in self.windows(col, batch=batch):
+        for _, w in self.windows(col):
             if w.size == 0:
                 continue
             wlo, whi = w.min(), w.max()
@@ -213,18 +201,18 @@ class ColumnScan:
         cast = int if col.np_dtype.kind == "u" else float
         return cast(lo), cast(hi)
 
-    def count_where(self, col: Column, lo, hi, batch: bool = True) -> int:
+    def count_where(self, col: Column, lo, hi) -> int:
         """``count(*) WHERE lo <= x < hi`` — the filter aggregate."""
         n = 0
-        for _, w in self.windows(col, batch=batch):
+        for _, w in self.windows(col):
             n += int(np.count_nonzero((w >= lo) & (w < hi)))
         return n
 
-    def select(self, col: Column, lo, hi, batch: bool = True) -> np.ndarray:
+    def select(self, col: Column, lo, hi) -> np.ndarray:
         """Element indices where ``lo <= x < hi`` (the filter's
         selection vector, int64, ascending)."""
         parts = []
-        for off, w in self.windows(col, batch=batch):
+        for off, w in self.windows(col):
             hits = np.nonzero((w >= lo) & (w < hi))[0]
             if hits.size:
                 parts.append(hits.astype(np.int64) + off)
@@ -257,20 +245,6 @@ def scan_sum_ref(accessor, col: Column):
     for v in _iter_elements(accessor, col):
         total += v
     return total
-
-
-def scan_min_max_ref(accessor, col: Column):
-    lo = hi = None
-    for v in _iter_elements(accessor, col):
-        if lo is None or v < lo:
-            lo = v
-        if hi is None or v > hi:
-            hi = v
-    return lo, hi
-
-
-def count_where_ref(accessor, col: Column, lo, hi) -> int:
-    return sum(1 for v in _iter_elements(accessor, col) if lo <= v < hi)
 
 
 def select_ref(accessor, col: Column, lo, hi) -> np.ndarray:

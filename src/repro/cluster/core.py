@@ -28,9 +28,11 @@ Batching: multi-line cached/coherent accesses classify the whole span
 in one pass (:meth:`Cache.access_span` / the coherence domain's span
 operations), charge pure latency arithmetically, and coalesce
 contiguous misses into burst packets that every timed component
-charges in one event. ``batch=False`` on any accessor forces the
-scalar per-line reference path; the two are equivalent in sim time,
-stats, and data (enforced by ``tests/cluster/test_core_batch.py``).
+charges in one event. A single-line access takes the per-line step
+(:meth:`Core._touch_line` / :meth:`Core._coherent_line`) directly. The
+per-line reference twin of the span path lives with its equivalence
+suites (``tests/spec/core.py``); the two agree in sim time, stats, and
+data (enforced by ``tests/cluster/test_core_batch.py``).
 Bursts never cross ``burst_align_bytes`` windows, so each burst stays
 within one memory controller's slice.
 """
@@ -144,32 +146,30 @@ class Core:
         return None
 
     # -- cached operations -----------------------------------------------
-    def cached_read(self, paddr: int, size: int, batch: bool = True) -> Generator:
+    def cached_read(self, paddr: int, size: int) -> Generator:
         """Load through this core's write-back cache.
 
         Misses fetch whole lines; dirty evictions write back (timing
         only) before the demand fetch. The returned bytes are always
-        the authoritative backing-store contents. ``batch=False``
-        forces the scalar per-line reference path (same sim time, same
-        stats — enforced by the equivalence tests).
+        the authoritative backing-store contents.
         """
         if self.cache is None or self.functional_mem is None:
             return (yield from self.read(paddr, size))
         self.loads.add()
-        yield from self._touch_lines(paddr, size, is_write=False, batch=batch)
+        yield from self._touch_lines(paddr, size, is_write=False)
         return self.functional_mem.fn_read(self._prefixed(paddr), size)
 
-    def cached_write(self, paddr: int, data: bytes, batch: bool = True) -> Generator:
+    def cached_write(self, paddr: int, data: bytes) -> Generator:
         """Store through the write-back cache (data lands functionally)."""
         if self.cache is None or self.functional_mem is None:
             return (yield from self.write(paddr, data))
         self.stores.add()
-        yield from self._touch_lines(paddr, len(data), is_write=True, batch=batch)
+        yield from self._touch_lines(paddr, len(data), is_write=True)
         self.functional_mem.fn_write(self._prefixed(paddr), data)
         return None
 
     def cached_touch(
-        self, paddr: int, size: int, is_write: bool = False, batch: bool = True
+        self, paddr: int, size: int, is_write: bool = False
     ) -> Generator:
         """Charge a cached access's timing without assembling its data.
 
@@ -189,11 +189,11 @@ class Core:
             self.stores.add()
         else:
             self.loads.add()
-        yield from self._touch_lines(paddr, size, is_write=is_write, batch=batch)
+        yield from self._touch_lines(paddr, size, is_write=is_write)
         return None
 
     # -- coherent operations (intra-node shared memory) --------------------
-    def coherent_read(self, paddr: int, size: int, batch: bool = True) -> Generator:
+    def coherent_read(self, paddr: int, size: int) -> Generator:
         """Load through the node's MESI domain — valid for shared,
         intra-node data only.
 
@@ -203,14 +203,14 @@ class Core:
         """
         self._require_coherent(paddr)
         self.loads.add()
-        yield from self._coherent_lines(paddr, size, is_write=False, batch=batch)
+        yield from self._coherent_lines(paddr, size, is_write=False)
         return self.functional_mem.fn_read(self._prefixed(paddr), size)
 
-    def coherent_write(self, paddr: int, data: bytes, batch: bool = True) -> Generator:
+    def coherent_write(self, paddr: int, data: bytes) -> Generator:
         """Store through the node's MESI domain (intra-node only)."""
         self._require_coherent(paddr)
         self.stores.add()
-        yield from self._coherent_lines(paddr, len(data), is_write=True, batch=batch)
+        yield from self._coherent_lines(paddr, len(data), is_write=True)
         self.functional_mem.fn_write(self._prefixed(paddr), data)
         return None
 
@@ -226,35 +226,16 @@ class Core:
                 "RMC-mapped range (Section IV-B)"
             )
 
-    def _coherent_lines(
-        self, paddr: int, size: int, is_write: bool, batch: bool = True
-    ) -> Generator:
+    def _coherent_lines(self, paddr: int, size: int, is_write: bool) -> Generator:
         assert self.cache is not None and self.coherence is not None
         cfg = self.config
         line_bytes = self.cache.config.line_bytes
         first = paddr // line_bytes
-        last = (paddr + size - 1) // line_bytes
-        count = last - first + 1
-        domain = self.coherence
-        if not batch or count == 1:
-            for line in range(first, last + 1):
-                interventions = domain.stats.interventions
-                if is_write:
-                    hit = domain.write(self.coherence_idx, line)
-                else:
-                    hit = domain.read(self.coherence_idx, line)
-                if hit:
-                    yield self.sim.timeout(self.cache.config.hit_ns)
-                    continue
-                # miss: the snoop broadcast window always applies; data
-                # comes cache-to-cache if a peer held it Modified,
-                # otherwise from local DRAM
-                yield self.sim.timeout(cfg.snoop_ns)
-                if domain.stats.interventions > interventions:
-                    yield self.sim.timeout(cfg.cache2cache_ns)
-                else:
-                    yield from self._timing_read(line * line_bytes, line_bytes)
+        count = (paddr + size - 1) // line_bytes - first + 1
+        if count == 1:
+            yield from self._coherent_line(first, is_write)
             return
+        domain = self.coherence
         op = domain.write_span if is_write else domain.read_span
         span = op(self.coherence_idx, first, count)
         # pure latency (hit windows, snoop windows, cache-to-cache
@@ -272,6 +253,28 @@ class Core:
             for start, n in self._runs(span.fetch_lines, align):
                 yield from self._timing_read_burst(start, n, line_bytes)
 
+    def _coherent_line(self, line: int, is_write: bool) -> Generator:
+        """One line through the MESI domain (the single-line step)."""
+        cfg = self.config
+        line_bytes = self.cache.config.line_bytes
+        domain = self.coherence
+        interventions = domain.stats.interventions
+        if is_write:
+            hit = domain.write(self.coherence_idx, line)
+        else:
+            hit = domain.read(self.coherence_idx, line)
+        if hit:
+            yield self.sim.timeout(self.cache.config.hit_ns)
+            return
+        # miss: the snoop broadcast window always applies; data comes
+        # cache-to-cache if a peer held it Modified, otherwise from
+        # local DRAM
+        yield self.sim.timeout(cfg.snoop_ns)
+        if domain.stats.interventions > interventions:
+            yield self.sim.timeout(cfg.cache2cache_ns)
+        else:
+            yield from self._timing_read(line * line_bytes, line_bytes)
+
     def _timing_read(self, paddr: int, size: int) -> Generator:
         """A read that charges full packet timing; data is discarded
         (the functional copy is fetched separately)."""
@@ -280,7 +283,7 @@ class Core:
         )
         yield from self._issue(request)
 
-    def flush_cache(self, batch: bool = True) -> Generator:
+    def flush_cache(self) -> Generator:
         """Write back every dirty line (prototype: done before parallel
         read-only phases, Section IV-B). Data is already authoritative
         in the backing store, so flushes are timing-only writes;
@@ -289,10 +292,6 @@ class Core:
             return None
         line_bytes = self.cache.config.line_bytes
         dirty = self.cache.flush()
-        if not batch:
-            for line in dirty:
-                yield from self._timing_write(line * line_bytes, line_bytes)
-            return None
         align = self._align_lines(line_bytes)
         for start, n in self._runs(dirty, align):
             yield from self._timing_write_burst(start, n, line_bytes)
@@ -306,36 +305,35 @@ class Core:
             return paddr
         return self.amap.encode(self.node_id, paddr)
 
-    def _touch_lines(
-        self, paddr: int, size: int, is_write: bool, batch: bool = True
-    ) -> Generator:
+    def _touch_lines(self, paddr: int, size: int, is_write: bool) -> Generator:
         assert self.cache is not None
         cache = self.cache
         line_bytes = cache.config.line_bytes
-        hit_ns = cache.config.hit_ns
         first = paddr // line_bytes
-        last = (paddr + size - 1) // line_bytes
-        count = last - first + 1
-        if not batch or count == 1:
-            for line in range(first, last + 1):
-                result = cache.access(line, is_write)
-                if result.hit:
-                    yield self.sim.timeout(hit_ns)
-                    continue
-                if result.writeback and result.evicted is not None:
-                    yield from self._timing_write(
-                        result.evicted * line_bytes, line_bytes
-                    )
-                # demand fetch of the whole line (timed; data discarded —
-                # the functional copy is read separately)
-                yield from self._timing_read(line * line_bytes, line_bytes)
+        count = (paddr + size - 1) // line_bytes - first + 1
+        if count == 1:
+            yield from self._touch_line(first, is_write)
             return
         result = cache.access_span(first, count, is_write)
         if result.hits:
             # hits are pure latency — charge them all in one event
-            yield self.sim.timeout(result.hits * hit_ns)
+            yield self.sim.timeout(result.hits * cache.config.hit_ns)
         if result.misses:
             yield from self._miss_traffic(result, line_bytes)
+
+    def _touch_line(self, line: int, is_write: bool) -> Generator:
+        """One line through the write-back cache (the single-line step)."""
+        cache = self.cache
+        line_bytes = cache.config.line_bytes
+        result = cache.access(line, is_write)
+        if result.hit:
+            yield self.sim.timeout(cache.config.hit_ns)
+            return
+        if result.writeback and result.evicted is not None:
+            yield from self._timing_write(result.evicted * line_bytes, line_bytes)
+        # demand fetch of the whole line (timed; data discarded — the
+        # functional copy is read separately)
+        yield from self._timing_read(line * line_bytes, line_bytes)
 
     def _miss_traffic(self, result, line_bytes: int) -> Generator:
         """Replay a span's miss traffic with burst coalescing.

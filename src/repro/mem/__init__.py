@@ -20,7 +20,6 @@ from repro.mem.cache import (
     BlockResult,
     Cache,
     CacheStats,
-    ReferenceCache,
 )
 from repro.mem.coherence import CoherenceDomain, MESIState
 from repro.mem.tlb import TLB
@@ -35,7 +34,6 @@ __all__ = [
     "BlockResult",
     "Cache",
     "CacheStats",
-    "ReferenceCache",
     "CoherenceDomain",
     "MESIState",
     "TLB",

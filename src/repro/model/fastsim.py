@@ -26,11 +26,11 @@ address arithmetically and takes one scalar cache access against
 hoisted latency constants. A multi-line access routes through
 :meth:`~repro.mem.cache.Cache.access_span`, which classifies the whole
 span's hits/misses/write-backs in one vectorized pass, and the span's
-time is computed from those counts — no per-line Python loop. Both
-shapes charge bit-identical time and produce identical
-:class:`~repro.mem.cache.CacheStats`; ``tests/model/test_fastsim.py``
-verifies the equivalence on randomized traces (accessors accept
-``batch=False`` to force the scalar reference path).
+time is computed from those counts — no per-line Python loop. The
+per-line reference twins live with their equivalence suite
+(``tests/spec/fastsim.py``); ``tests/model/test_fastsim_batch.py``
+verifies on randomized traces that both charge the same time and
+produce identical :class:`~repro.mem.cache.CacheStats`.
 """
 
 from __future__ import annotations
@@ -104,14 +104,10 @@ class BumpAllocator:
 class _BaseAccessor:
     """Shared functional plumbing + typed helpers."""
 
-    def __init__(self, backing: BackingStore, batch: bool = True) -> None:
+    def __init__(self, backing: BackingStore) -> None:
         self.backing = backing
         self.time_ns = 0.0
         self.accesses = 0
-        #: route multi-line accesses through the vectorized cache pass;
-        #: ``False`` forces the scalar per-line reference path (used by
-        #: the batch/scalar equivalence tests)
-        self.batch = batch
 
     # -- functional data path --------------------------------------------
     def read(self, addr: int, size: int) -> bytes:
@@ -135,24 +131,15 @@ class _BaseAccessor:
         self._charge(addr, count * dt.itemsize, False)
         return self.backing.read_array(addr, count, dt)
 
-    def view_array(
-        self, addr: int, count: int, dtype, batch: bool = True
-    ) -> np.ndarray:
+    def view_array(self, addr: int, count: int, dtype) -> np.ndarray:
         """Typed column window: a zero-copy read-only view when the
         range stays inside one backing chunk, a fresh copy otherwise.
-        Charged exactly like :meth:`read_array`; ``batch=False`` forces
-        the scalar per-line reference path for this one access (the
-        columnar equivalence suites' hook). Views alias live backing
-        storage — they observe later writes and must not outlive the
-        scan that requested them (DESIGN.md §13).
+        Charged exactly like :meth:`read_array`. Views alias live
+        backing storage — they observe later writes and must not
+        outlive the scan that requested them (DESIGN.md §13).
         """
         dt = np.dtype(dtype)
-        prev = self.batch
-        self.batch = prev and batch
-        try:
-            self._charge(addr, count * dt.itemsize, False)
-        finally:
-            self.batch = prev
+        self._charge(addr, count * dt.itemsize, False)
         view = self.backing.view_array(addr, count, dt)
         if view is not None:
             return view
@@ -202,9 +189,8 @@ class LocalMemAccessor(_BaseAccessor):
         backing: BackingStore,
         cache: Optional[Cache] = None,
         use_cache: bool = True,
-        batch: bool = True,
     ) -> None:
-        super().__init__(backing, batch=batch)
+        super().__init__(backing)
         self.latency = latency
         self.cache = (
             cache if cache is not None
@@ -233,25 +219,11 @@ class LocalMemAccessor(_BaseAccessor):
         if cache is None:
             self.time_ns += n * self._local_ns
             return
-        if self.batch:
-            res = cache.access_span(first, n, is_write)
-            self.time_ns += (
-                res.hits * self._hit_ns
-                + (res.misses + res.writebacks) * self._local_ns
-            )
-            return
-        # scalar reference path
-        hit_ns, local_ns = self._hit_ns, self._local_ns
-        t = 0.0
-        for line in range(first, first + n):
-            result = cache.access(line, is_write)
-            if result.hit:
-                t += hit_ns
-            elif result.writeback:
-                t += 2 * local_ns
-            else:
-                t += local_ns
-        self.time_ns += t
+        res = cache.access_span(first, n, is_write)
+        self.time_ns += (
+            res.hits * self._hit_ns
+            + (res.misses + res.writebacks) * self._local_ns
+        )
 
 
 class RemoteMemAccessor(_BaseAccessor):
@@ -274,11 +246,10 @@ class RemoteMemAccessor(_BaseAccessor):
         cache: Optional[Cache] = None,
         use_cache: bool = True,
         prefetch: Optional["PrefetchConfig"] = None,
-        batch: bool = True,
     ) -> None:
         from repro.model.prefetch import PrefetchConfig, StreamPrefetcher
 
-        super().__init__(backing, batch=batch)
+        super().__init__(backing)
         self.latency = latency
         self.hops = hops
         self.cache = (
@@ -298,12 +269,6 @@ class RemoteMemAccessor(_BaseAccessor):
     def hops(self, value: int) -> None:
         self._hops = value
         self._remote_ns = self.latency.remote_ns(value)
-
-    def _miss_ns(self, remote: float, line: int) -> float:
-        """Latency of a cache-missing line, prefetch-aware."""
-        if self.prefetcher is not None and self.prefetcher.access(line):
-            return self.prefetcher.config.covered_ns
-        return remote
 
     def _charge(self, addr: int, size: int, is_write: bool) -> None:
         first, n = self._span_of(addr, size)
@@ -331,9 +296,6 @@ class RemoteMemAccessor(_BaseAccessor):
             self.time_ns += miss
             return
         self.accesses += n
-        if not self.batch:
-            self._charge_scalar(first, n, is_write, remote)
-            return
         if cache is None:
             if pf is None:
                 self.time_ns += n * remote
@@ -352,23 +314,6 @@ class RemoteMemAccessor(_BaseAccessor):
             t += covered * pf.config.covered_ns + (res.misses - covered) * remote
         self.time_ns += t
 
-    def _charge_scalar(
-        self, first: int, n: int, is_write: bool, remote: float
-    ) -> None:
-        """Per-line reference path (the batch path must match it)."""
-        cache = self.cache
-        for line in range(first, first + n):
-            if cache is None:
-                self.time_ns += self._miss_ns(remote, line)
-                continue
-            result = cache.access(line, is_write)
-            if result.hit:
-                self.time_ns += self._hit_ns
-            else:
-                if result.writeback:
-                    self.time_ns += remote
-                self.time_ns += self._miss_ns(remote, line)
-
 
 class SwapAccessor(_BaseAccessor):
     """Remote-swap / disk-swap baseline.
@@ -384,9 +329,8 @@ class SwapAccessor(_BaseAccessor):
         swap: Union[RemoteSwap, DiskSwap],
         cache: Optional[Cache] = None,
         use_cache: bool = True,
-        batch: bool = True,
     ) -> None:
-        super().__init__(backing, batch=batch)
+        super().__init__(backing)
         self.latency = latency
         self.swap = swap
         self.cache = (
@@ -403,10 +347,10 @@ class SwapAccessor(_BaseAccessor):
             self._charge_line(first, is_write)
             return
         self.accesses += n
-        span_fn = getattr(self.swap, "access_span_ns", None) if self.batch else None
+        span_fn = getattr(self.swap, "access_span_ns", None)
         if span_fn is None:
-            # per-line reference path (also taken for swap devices
-            # without a span entry point, e.g. the ext-B alternatives)
+            # swap devices without a span entry point (the ext-B
+            # alternatives) are charged line by line
             for line in range(first, first + n):
                 self._charge_line(line, is_write)
             return
@@ -420,8 +364,8 @@ class SwapAccessor(_BaseAccessor):
             return
         res = cache.access_span(first, n, is_write)
         # A line-cache hit on a faulting line is charged as a local
-        # access (the fetch installs the line), matching the scalar
-        # path, so only non-fault hits earn the hit latency.
+        # access (the fetch installs the line), matching _charge_line,
+        # so only non-fault hits earn the hit latency.
         nf_hits = res.hits
         if fault_idx:
             nf_hits -= int(res.hit_mask[fault_idx].sum())
@@ -461,10 +405,3 @@ class SwapAccessor(_BaseAccessor):
     @property
     def fault_count(self) -> int:
         return self.swap.stats.faults
-
-
-def _lines(addr: int, size: int) -> range:
-    """Cache lines touched by an access."""
-    if size <= 0:
-        raise AddressError(f"access size must be positive: {size}")
-    return range(addr // CACHE_LINE, (addr + size - 1) // CACHE_LINE + 1)

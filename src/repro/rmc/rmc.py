@@ -47,7 +47,6 @@ from repro.ht.packet import (
     make_fault,
     make_nack,
     make_probe,
-    make_read_req,
     make_read_resp,
 )
 from repro.units import CACHE_LINE as _LINE
@@ -485,18 +484,14 @@ class RMC:
         small buffer) but pay the client pipe and the fabric like any
         transaction — the bandwidth cost of prefetching is real.
 
-        With ``prefetch_batch`` (the default) the missing lines go out
-        as coalesced burst reads — one packet per run of consecutive
-        lines, charged per line at every hop and filled in one event at
-        completion. ``prefetch_batch=False`` is the scalar
-        one-packet-per-line reference twin; issued/hit/wasted counters
-        are identical either way.
+        The missing lines go out as coalesced burst reads — one packet
+        per run of consecutive lines, charged per line at every hop and
+        filled in one event at completion. Issued/hit/wasted counters
+        match the one-packet-per-line reference twin
+        (``tests/spec/rmc.py``).
         """
         owner = self.amap.node_of(demand_addr)
         line_addr = demand_addr & ~(_LINE - 1)
-        if not self.config.prefetch_batch:
-            yield from self._issue_prefetches_scalar(owner, line_addr)
-            return
         # collect the missing candidates upfront: fills only ever land
         # for in-flight lines, which are skipped here, so a candidate
         # cannot become buffered between this scan and its issue
@@ -522,26 +517,6 @@ class RMC:
                 self.node_id, owner, start, _LINE, count, self.tags.next()
             )
             yield from self._launch_prefetch(pf_request, count)
-
-    def _issue_prefetches_scalar(self, owner: int, line_addr: int) -> Generator:
-        """One packet per line: the reference twin of the burst path."""
-        for d in range(1, self.config.prefetch_depth + 1):
-            pf_addr = line_addr + d * _LINE
-            if self.amap.node_of(pf_addr) != owner:
-                break  # never cross the owner window
-            if (
-                pf_addr in self._prefetch_data
-                or pf_addr in self._prefetch_inflight
-            ):
-                continue
-            self._prefetch_inflight.add(pf_addr)
-            yield from self._pipe_service(
-                self._prefetch_pipe, self.config.per_op_ns()
-            )
-            pf_request = make_read_req(
-                self.node_id, owner, pf_addr, _LINE, self.tags.next()
-            )
-            yield from self._launch_prefetch(pf_request, 1)
 
     def _launch_prefetch(self, pf_request: Packet, count: int) -> Generator:
         """Register *pf_request* as an outstanding prefetch and send it."""

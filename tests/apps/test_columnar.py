@@ -1,8 +1,9 @@
 """Columnar operators on the fast tier.
 
 Every operator must (a) compute exactly what its per-element reference
-twin computes, (b) be observably identical under ``batch=False`` (same
-simulated time, same cache stats, same results), and (c) go zero-copy
+twin computes, (b) be observably identical on the per-line accessor
+twins of :mod:`tests.spec.fastsim` (same simulated time, same cache
+stats, same results), and (c) go zero-copy
 exactly when the window legality rules of DESIGN.md §13 allow.
 """
 
@@ -16,28 +17,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.access import TraceRecorder
-from repro.apps.columnar import (
-    Column,
-    ColumnScan,
-    count_where_ref,
-    scan_min_max_ref,
-    scan_sum_ref,
-    select_ref,
-)
+from repro.apps.columnar import Column, ColumnScan, scan_sum_ref, select_ref
 from repro.config import ClusterConfig
 from repro.errors import ConfigError
 from repro.mem.backing import BackingStore
 from repro.model.fastsim import LocalMemAccessor, RemoteMemAccessor
 from repro.model.latency import LatencyModel
 
+from tests.spec.columnar import count_where_ref, scan_min_max_ref
+from tests.spec.fastsim import ScalarLocalMemAccessor, ScalarRemoteMemAccessor
+
 LAT = LatencyModel.from_config(ClusterConfig())
 
 
-def _accessor(kind="remote", batch=True, cap=1 << 22):
+def _accessor(kind="remote", scalar=False, cap=1 << 22):
     store = BackingStore(cap)
     if kind == "local":
-        return LocalMemAccessor(LAT, store, batch=batch)
-    return RemoteMemAccessor(LAT, store, hops=2, batch=batch)
+        cls = ScalarLocalMemAccessor if scalar else LocalMemAccessor
+        return cls(LAT, store)
+    cls = ScalarRemoteMemAccessor if scalar else RemoteMemAccessor
+    return cls(LAT, store, hops=2)
 
 
 def _fill(acc, addr, data: np.ndarray) -> None:
@@ -103,13 +102,15 @@ def test_uint64_sum_wraps_modulo_2_64():
 
 
 def test_windows_scalar_twin_yields_identical_values():
-    acc = _accessor()
     data = np.arange(6_000, dtype=np.uint64)
-    _fill(acc, 0, data)
     col = Column(0, data.size, "uint64")
-    scan = ColumnScan(acc, window_bytes=8 * 1024)
-    batched = [w.copy() for _, w in scan.windows(col)]
-    scalar = [w.copy() for _, w in scan.windows(col, batch=False)]
+    obs = []
+    for scalar in (False, True):
+        acc = _accessor(scalar=scalar)
+        _fill(acc, 0, data)
+        scan = ColumnScan(acc, window_bytes=8 * 1024)
+        obs.append([w.copy() for _, w in scan.windows(col)])
+    batched, scalar = obs
     assert all(np.array_equal(b, s) for b, s in zip(batched, scalar))
     assert np.array_equal(np.concatenate(batched), data)
 
@@ -129,18 +130,18 @@ def test_batch_scalar_equivalence_fast_tier():
     rng = np.random.default_rng(2)
     data = rng.integers(0, 1000, size=16_384, dtype=np.uint64)
     obs = []
-    for batch in (True, False):
-        acc = _accessor()
+    for scalar in (False, True):
+        acc = _accessor(scalar=scalar)
         _fill(acc, 0, data)
         col = Column(0, data.size, "uint64")
         scol = Column(0, 1024, "uint64", stride=64)
         scan = ColumnScan(acc, window_bytes=8 * 1024)
         results = [
-            scan.sum(col, batch=batch),
-            scan.min_max(col, batch=batch),
-            scan.count_where(col, 100, 900, batch=batch),
-            scan.select(col, 100, 900, batch=batch).tolist(),
-            scan.sum(scol, batch=batch),
+            scan.sum(col),
+            scan.min_max(col),
+            scan.count_where(col, 100, 900),
+            scan.select(col, 100, 900).tolist(),
+            scan.sum(scol),
         ]
         st_ = acc.cache.stats
         obs.append(
@@ -153,13 +154,13 @@ def test_batch_scalar_equivalence_fast_tier():
     assert b_res == s_res
 
 
-def test_view_array_batch_flag_forces_scalar_charge():
+def test_view_array_scalar_twin_charges_identically():
     data = np.arange(8192, dtype=np.uint64)
     times = []
-    for batch in (True, False):
-        acc = _accessor()
+    for scalar in (False, True):
+        acc = _accessor(scalar=scalar)
         _fill(acc, 0, data)
-        acc.view_array(0, data.size, np.uint64, batch=batch)
+        acc.view_array(0, data.size, np.uint64)
         times.append(acc.time_ns)
     assert times[0] == pytest.approx(times[1])
 
@@ -209,7 +210,7 @@ def test_trace_recorder_records_view_array():
     data = np.arange(64, dtype=np.uint64)
     _fill(acc, 0, data)
     rec = TraceRecorder(acc)
-    win = rec.view_array(0, 64, np.uint64, batch=False)
+    win = rec.view_array(0, 64, np.uint64)
     assert np.array_equal(win, data)
     assert rec.trace[-1].addr == 0
     assert rec.trace[-1].size == 64 * 8

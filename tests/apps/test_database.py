@@ -17,6 +17,8 @@ from repro.model.fastsim import (
 from repro.model.latency import LatencyModel
 from repro.swap.remoteswap import RemoteSwap
 
+from tests.spec.fastsim import ScalarLocalMemAccessor
+
 
 @pytest.fixture
 def lat():
@@ -147,14 +149,11 @@ class TestColumnarPath:
 
     def test_range_select_batch_scalar_twins(self, lat):
         obs = []
-        for batch in (True, False):
-            acc = LocalMemAccessor(lat, BackingStore(1 << 26))
+        for cls in (LocalMemAccessor, ScalarLocalMemAccessor):
+            acc = cls(lat, BackingStore(1 << 26))
             db = MiniDB(acc, num_rows=1_000)
             t0 = acc.time_ns
-            counts = [
-                db.range_select(10, 200, batch=batch),
-                db.range_select(900, 2_000, batch=batch),
-            ]
+            counts = [db.range_select(10, 200), db.range_select(900, 2_000)]
             st = acc.cache.stats
             obs.append(
                 (acc.time_ns - t0, counts, db.stats.rows_read,
@@ -165,11 +164,11 @@ class TestColumnarPath:
 
     def test_full_scan_batch_scalar_twins(self, lat):
         obs = []
-        for batch in (True, False):
-            acc = LocalMemAccessor(lat, BackingStore(1 << 26))
+        for cls in (LocalMemAccessor, ScalarLocalMemAccessor):
+            acc = cls(lat, BackingStore(1 << 26))
             db = MiniDB(acc, num_rows=700)
             t0 = acc.time_ns
-            n = db.full_scan(batch=batch)
+            n = db.full_scan()
             obs.append((acc.time_ns - t0, n, db.stats.rows_read))
         assert obs[0] == obs[1]
         assert obs[0][1] == 700

@@ -4,8 +4,9 @@ Three properties pin the design of ``Session.view_array`` /
 ``read_array`` / ``column_windows`` (DESIGN.md §13):
 
 * **equivalence** — the batched span path must be observably identical
-  to the ``batch=False`` scalar per-line reference: same simulated
-  time per operation, same counters everywhere, same values;
+  to the scalar per-line twin (:class:`tests.spec.core.ScalarCore`):
+  same simulated time per operation, same counters everywhere, same
+  values;
 * **zero-copy legality** — views are read-only windows over the
   owner's chunk storage exactly when the range is one contiguous
   physical run inside one chunk with no damaged pages; anything else
@@ -27,6 +28,8 @@ from repro.cluster.malloc import Placement
 from repro.config import ClusterConfig, NetworkConfig
 from repro.errors import RemoteAccessError
 from repro.units import PAGE_SIZE, kib, mib
+
+from tests.spec.core import install_scalar_cores
 
 CHUNK = 64 * 1024  # BackingStore default chunk
 
@@ -59,8 +62,10 @@ def _snapshot(cluster: Cluster) -> dict:
     return snap
 
 
-def _session_with_column(count=8192, placement=Placement.REMOTE):
+def _session_with_column(count=8192, placement=Placement.REMOTE, scalar=False):
     cluster = _make_cluster()
+    if scalar:
+        install_scalar_cores(cluster)
     app = cluster.session(1)
     app.borrow_remote(2, mib(16))
     ptr = app.malloc(max(count * 8, PAGE_SIZE), placement)
@@ -123,25 +128,23 @@ def test_view_array_damaged_page_falls_back_to_copy():
 
 
 def test_empty_and_generator_forms():
-    cluster, app, ptr, vals = _session_with_column(count=1024)
+    cluster, app, ptr, vals = _session_with_column(count=1024, scalar=True)
     assert app.read_array(ptr, 0, np.uint64).size == 0
     assert app.view_array(ptr, 0, np.uint64).size == 0
-    got = cluster.sim.run_process(
-        app.g_read_array(ptr, 1024, np.uint64, batch=False)
-    )
+    got = cluster.sim.run_process(app.g_read_array(ptr, 1024, np.uint64))
     assert np.array_equal(got, vals)
-    got = cluster.sim.run_process(
-        app.g_view_array(ptr, 1024, np.uint64, batch=False)
-    )
+    got = cluster.sim.run_process(app.g_view_array(ptr, 1024, np.uint64))
     assert np.array_equal(got, vals)
 
 
 def test_column_windows_cover_the_column():
-    _cluster, app, ptr, vals = _session_with_column(count=(CHUNK + 4096) // 8)
-    for batch in (True, False):
+    for scalar in (False, True):
+        _cluster, app, ptr, vals = _session_with_column(
+            count=(CHUNK + 4096) // 8, scalar=scalar
+        )
         parts = []
         for off, win in app.column_windows(
-            ptr, vals.size, np.uint64, window_bytes=kib(16), batch=batch
+            ptr, vals.size, np.uint64, window_bytes=kib(16)
         ):
             assert off == sum(p.size for p in parts)
             parts.append(win)
@@ -151,19 +154,20 @@ def test_column_windows_cover_the_column():
 def test_cached_touch_charges_like_cached_read():
     """``Core.cached_touch`` is the timing half of ``cached_read``:
     identical simulated time, cache stats, and load counts for the
-    same span — batched, scalar, or with the data actually read."""
+    same span — production, scalar twin, or with the data actually
+    read."""
     obs = []
-    for mode in ("touch-batch", "touch-scalar", "read"):
-        cluster, app, ptr, _vals = _session_with_column(count=1024)
+    for mode in ("touch", "touch-scalar", "read"):
+        cluster, app, ptr, _vals = _session_with_column(
+            count=1024, scalar=mode == "touch-scalar"
+        )
         core = cluster.nodes[1].cores[0]
         phys = app.aspace.translate(ptr).phys_addr
         t0 = cluster.sim.now
         if mode == "read":
             cluster.sim.run_process(core.cached_read(phys, PAGE_SIZE))
         else:
-            cluster.sim.run_process(
-                core.cached_touch(phys, PAGE_SIZE, batch=mode == "touch-batch")
-            )
+            cluster.sim.run_process(core.cached_touch(phys, PAGE_SIZE))
         st = core.cache.stats
         obs.append(
             (cluster.sim.now - t0, (st.hits, st.misses, st.writebacks),
@@ -175,8 +179,10 @@ def test_cached_touch_charges_like_cached_read():
 # -- batch vs scalar twin-cluster equivalence ---------------------------
 def _run_columnar_trace(trace):
     out = []
-    for batch in (True, False):
-        cluster, app, ptr, _vals = _session_with_column(count=8192)
+    for scalar in (False, True):
+        cluster, app, ptr, _vals = _session_with_column(
+            count=8192, scalar=scalar
+        )
         acc = SessionAccessor(app, 64 * 1024, placement=Placement.LOCAL)
         rng = np.random.default_rng(3)
         acc.bulk_write(
@@ -189,23 +195,19 @@ def _run_columnar_trace(trace):
         for op in trace:
             t0 = cluster.sim.now
             if op == "view":
-                results.append(
-                    app.view_array(ptr, 8192, np.uint64, batch=batch).copy()
-                )
+                results.append(app.view_array(ptr, 8192, np.uint64).copy())
             elif op == "read":
-                results.append(
-                    app.read_array(ptr, 8192, np.uint64, batch=batch)
-                )
+                results.append(app.read_array(ptr, 8192, np.uint64))
             elif op == "sum":
-                results.append(scan.sum(col, batch=batch))
+                results.append(scan.sum(col))
             elif op == "min_max":
-                results.append(scan.min_max(col, batch=batch))
+                results.append(scan.min_max(col))
             elif op == "count":
-                results.append(scan.count_where(col, 100, 700, batch=batch))
+                results.append(scan.count_where(col, 100, 700))
             elif op == "select":
-                results.append(scan.select(col, 100, 700, batch=batch))
+                results.append(scan.select(col, 100, 700))
             elif op == "strided_sum":
-                results.append(scan.sum(scol, batch=batch))
+                results.append(scan.sum(scol))
             else:  # pragma: no cover - trace typo guard
                 raise AssertionError(op)
             elapsed.append(cluster.sim.now - t0)

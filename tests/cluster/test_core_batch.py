@@ -1,11 +1,11 @@
 """Batch vs scalar equivalence for the packet-tier data path.
 
-The batched accessors (``batch=True``, the default) must be *observably
-identical* to the per-line reference path (``batch=False``): same
+The span/burst data path must be *observably identical* to the
+per-line reference twin (:class:`tests.spec.core.ScalarCore`): same
 simulated time for every operation, same counters everywhere a scalar
 transaction would have been counted, same bytes returned. These tests
-drive twin clusters through identical traces — one batched, one scalar
-— and diff everything.
+drive twin clusters through identical traces — one production, one
+with the scalar twin installed — and diff everything.
 """
 
 from __future__ import annotations
@@ -19,10 +19,13 @@ from repro.cluster.malloc import Placement
 from repro.config import ClusterConfig, NetworkConfig
 from repro.units import kib, mib
 
+from tests.spec.core import install_scalar_cores
 
-def _make_cluster() -> Cluster:
+
+def _make_cluster(scalar: bool = False) -> Cluster:
     cfg = ClusterConfig(network=NetworkConfig(topology="line", dims=(4, 1)))
-    return Cluster(cfg)
+    cluster = Cluster(cfg)
+    return install_scalar_cores(cluster) if scalar else cluster
 
 
 def _snapshot(cluster: Cluster) -> dict:
@@ -62,15 +65,16 @@ def _snapshot(cluster: Cluster) -> dict:
 
 
 def _run_trace(trace):
-    """Run *trace* twice (batched / scalar); return both observations.
+    """Run *trace* twice (production / scalar twin); return both
+    observations.
 
     Each trace step is ``(op, args...)`` executed against a session on
     node 1 with 16 MiB borrowed from node 2. Returns per-step elapsed
     sim times, the final counter snapshot, and collected read data.
     """
     out = []
-    for batch in (True, False):
-        cluster = _make_cluster()
+    for scalar in (False, True):
+        cluster = _make_cluster(scalar)
         app = cluster.session(1)
         app.borrow_remote(2, mib(16))
         ptrs = {
@@ -83,19 +87,15 @@ def _run_trace(trace):
             addr = ptrs[region] + offset
             t0 = cluster.sim.now
             if op == "read":
-                data.append(app.read(addr, size, batch=batch))
+                data.append(app.read(addr, size))
             elif op == "write":
-                app.write(addr, bytes([step[4]]) * size, batch=batch)
+                app.write(addr, bytes([step[4]]) * size)
             elif op == "coh_read":
-                data.append(
-                    app.coherent_read(addr, size, core=step[4], batch=batch)
-                )
+                data.append(app.coherent_read(addr, size, core=step[4]))
             elif op == "coh_write":
-                app.coherent_write(
-                    addr, bytes([step[5]]) * size, core=step[4], batch=batch
-                )
+                app.coherent_write(addr, bytes([step[5]]) * size, core=step[4])
             elif op == "flush":
-                cluster.sim.run_process(app.g_flush(batch=batch))
+                cluster.sim.run_process(app.g_flush())
             else:  # pragma: no cover - trace typo guard
                 raise AssertionError(op)
             elapsed.append(cluster.sim.now - t0)
@@ -227,7 +227,8 @@ def test_loads_counted_once_per_cached_read():
     app.read(ptr, kib(4))  # cold: 64 line misses
     assert core.loads.value == loads0 + 1
     assert core.load_latency_ns.count == 0
-    app.read(ptr, kib(4), batch=False)  # scalar path accounts identically
+    install_scalar_cores(cluster)
+    app.read(ptr, kib(4))  # the scalar twin accounts identically
     assert core.loads.value == loads0 + 2
     assert core.load_latency_ns.count == 0
 
@@ -257,3 +258,28 @@ def test_burst_never_crosses_controller_slice():
     )
     r1 = [mc.reads.value for mc in node.mcs]
     assert r1[0] - r0[0] > 0 and r1[1] - r0[1] > 0
+
+
+@pytest.mark.parametrize("op", ["read", "coherent_read", "flush"])
+def test_scalar_twin_takes_the_per_line_path(op):
+    """Vacuity guard for the suite above: installing the twin must
+    really switch the core to per-line transactions, so the same
+    multi-line operation schedules more events than production does."""
+    events = []
+    for scalar in (False, True):
+        cluster = _make_cluster(scalar)
+        app = cluster.session(1)
+        ptr = app.malloc(mib(1), Placement.LOCAL)
+        sim = cluster.sim
+        if op == "flush":
+            app.write(ptr, bytes(kib(4)))
+        seq0 = sim.events_scheduled
+        if op == "read":
+            app.read(ptr, kib(4))
+        elif op == "coherent_read":
+            app.coherent_read(ptr, kib(4))
+        else:
+            sim.run_process(app.g_flush())
+        events.append(sim.events_scheduled - seq0)
+    production, twin = events
+    assert twin > production

@@ -13,7 +13,9 @@ import pytest
 
 from repro.config import CacheConfig
 from repro.errors import CoherenceError
-from repro.mem.cache import Cache, ReferenceCache
+from repro.mem.cache import Cache
+
+from tests.spec.cache import ReferenceCache
 
 
 def _tiny(ways: int = 2, sets: int = 8, write_back: bool = True) -> CacheConfig:

@@ -1,9 +1,10 @@
 """Batch-path vs scalar-path equivalence for the fast-tier accessors.
 
-Every accessor accepts ``batch=False`` to force the per-line reference
-loop. Identical traces through both modes must produce the same total
-time, the same cache statistics, and (for swap) the same page-pool
-state — the vectorized span path is an optimization, not a remodel.
+Every accessor has a per-line reference twin in :mod:`tests.spec.fastsim`.
+Identical traces through an accessor and its twin must produce the
+same total time, the same cache statistics, and (for swap) the same
+page-pool state — the vectorized span path is an optimization, not a
+remodel.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ from repro.model.latency import LatencyModel
 from repro.model.prefetch import PrefetchConfig
 from repro.swap.diskswap import DiskSwap
 from repro.swap.remoteswap import RemoteSwap
+
+from tests.spec.fastsim import (
+    ScalarLocalMemAccessor,
+    ScalarRemoteMemAccessor,
+    ScalarSwapAccessor,
+)
 
 
 @pytest.fixture
@@ -72,9 +79,9 @@ def test_local_accessor_equivalence(lat, seed, use_cache):
     b = _run(LocalMemAccessor(lat, BackingStore(1 << 20),
                               cache=_small_cache() if use_cache else None,
                               use_cache=use_cache), ops)
-    s = _run(LocalMemAccessor(lat, BackingStore(1 << 20),
-                              cache=_small_cache() if use_cache else None,
-                              use_cache=use_cache, batch=False), ops)
+    s = _run(ScalarLocalMemAccessor(lat, BackingStore(1 << 20),
+                                    cache=_small_cache() if use_cache else None,
+                                    use_cache=use_cache), ops)
     _assert_equal(b, s)
 
 
@@ -84,9 +91,9 @@ def test_remote_accessor_equivalence(lat, seed, prefetch):
     ops = _trace(seed)
     b = _run(RemoteMemAccessor(lat, BackingStore(1 << 20), hops=2,
                                cache=_small_cache(), prefetch=prefetch), ops)
-    s = _run(RemoteMemAccessor(lat, BackingStore(1 << 20), hops=2,
-                               cache=_small_cache(), prefetch=prefetch,
-                               batch=False), ops)
+    s = _run(ScalarRemoteMemAccessor(lat, BackingStore(1 << 20), hops=2,
+                                     cache=_small_cache(), prefetch=prefetch),
+             ops)
     _assert_equal(b, s)
     if prefetch is not None:
         for attr in ("issued", "covered", "wasted", "demand_misses"):
@@ -98,15 +105,15 @@ def test_remote_accessor_equivalence(lat, seed, prefetch):
 def test_swap_accessor_equivalence(lat, seed, device):
     cfg = ClusterConfig()
 
-    def make(batch):
+    def make(cls):
         swap_cls = RemoteSwap if device == "remote" else DiskSwap
         # tiny pool so the page-LRU churns and dirty victims write back
         swap = swap_cls(cfg.swap, resident_pages=16)
-        return SwapAccessor(lat, BackingStore(1 << 20), swap,
-                            cache=_small_cache(), batch=batch)
+        return cls(lat, BackingStore(1 << 20), swap, cache=_small_cache())
 
     ops = _trace(seed)
-    b, s = _run(make(True), ops), _run(make(False), ops)
+    b = _run(make(SwapAccessor), ops)
+    s = _run(make(ScalarSwapAccessor), ops)
     _assert_equal(b, s)
     assert b.fault_count == s.fault_count
     for attr in ("hits", "faults", "evictions", "dirty_writebacks"):
@@ -131,9 +138,9 @@ def test_swap_without_span_entry_point_falls_back(lat):
         def stats(self):
             return self._inner.stats
 
-    ref = SwapAccessor(lat, BackingStore(1 << 20),
-                       RemoteSwap(cfg.swap, resident_pages=8),
-                       cache=_small_cache(), batch=False)
+    ref = ScalarSwapAccessor(lat, BackingStore(1 << 20),
+                             RemoteSwap(cfg.swap, resident_pages=8),
+                             cache=_small_cache())
     duck = SwapAccessor(lat, BackingStore(1 << 20), MinimalSwap(),
                         cache=_small_cache())
     ops = _trace(11, n_ops=150)
@@ -147,8 +154,8 @@ def test_functional_results_identical_across_modes(lat):
     """The data plane is mode-independent: bytes read back match."""
     rng = np.random.default_rng(5)
     payload = rng.bytes(9000)
-    for batch in (True, False):
-        acc = LocalMemAccessor(lat, BackingStore(1 << 20), batch=batch)
+    for cls in (LocalMemAccessor, ScalarLocalMemAccessor):
+        acc = cls(lat, BackingStore(1 << 20))
         acc.write(1234, payload)
         assert acc.read(1234, len(payload)) == payload
         acc.write_u64(64, 77)
@@ -156,3 +163,36 @@ def test_functional_results_identical_across_modes(lat):
         values = np.arange(500, dtype=np.uint64)
         acc.write_array(32768, values)
         assert (acc.read_array(32768, 500, np.uint64) == values).all()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda lat, cache: ScalarLocalMemAccessor(
+            lat, BackingStore(1 << 20), cache=cache
+        ),
+        lambda lat, cache: ScalarRemoteMemAccessor(
+            lat, BackingStore(1 << 20), hops=2, cache=cache,
+            prefetch=PrefetchConfig(),
+        ),
+        lambda lat, cache: ScalarSwapAccessor(
+            lat, BackingStore(1 << 20),
+            RemoteSwap(ClusterConfig().swap, resident_pages=16), cache=cache,
+        ),
+    ],
+    ids=["local", "remote", "swap"],
+)
+def test_scalar_twins_never_take_the_span_pass(lat, make, monkeypatch):
+    """Vacuity guard for the suite above: a twin must charge every
+    multi-line access line by line, never through the cache's span
+    entry points (else the equivalence tests compare production with
+    itself)."""
+    cache = _small_cache()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scalar twin reached the batched span pass")
+
+    monkeypatch.setattr(cache, "access_span", forbidden)
+    monkeypatch.setattr(cache, "access_block", forbidden)
+    acc = _run(make(lat, cache), _trace(7, n_ops=100))
+    assert acc.accesses > 100  # the trace really had multi-line accesses

@@ -10,6 +10,8 @@ from repro.config import ClusterConfig, NetworkConfig, RMCConfig
 from repro.errors import ConfigError
 from repro.units import CACHE_LINE, mib
 
+from tests.spec.rmc import install_scalar_prefetch
+
 
 def _cluster(**rmc_kw):
     return Cluster(
@@ -164,12 +166,19 @@ def test_config_validation():
 # -- batched fills vs the scalar reference twin ------------------------------
 
 
-def _prefetch_scenario(batch: bool):
+def _prefetch_cluster(scalar: bool) -> Cluster:
+    """A depth-4 prefetching cluster; *scalar* installs the
+    one-packet-per-line reference twin on every RMC."""
+    cluster = _cluster(prefetch_depth=4)
+    return install_scalar_prefetch(cluster) if scalar else cluster
+
+
+def _prefetch_scenario(scalar: bool):
     """Mixed traffic with the fabric drained to quiescence after every
     operation, so hit/issued/wasted depend only on *which* lines the
     prefetcher fetched — not on in-flight timing, which batching is
     allowed to change."""
-    cluster = _cluster(prefetch_depth=4, prefetch_batch=batch)
+    cluster = _prefetch_cluster(scalar)
     app, ptr = _setup(cluster)
     sim = cluster.sim
     out = []
@@ -204,11 +213,11 @@ def _prefetch_scenario(batch: bool):
 
 
 def test_batched_fills_match_scalar_twin():
-    """`prefetch_batch=False` is the executable scalar spec: burst
-    fills must fetch the same lines, serve the same hits, waste the
-    same fetches, and return the same bytes."""
-    out_batch, counters_batch = _prefetch_scenario(batch=True)
-    out_scalar, counters_scalar = _prefetch_scenario(batch=False)
+    """The one-packet-per-line twin is the executable scalar spec:
+    burst fills must fetch the same lines, serve the same hits, waste
+    the same fetches, and return the same bytes."""
+    out_batch, counters_batch = _prefetch_scenario(scalar=False)
+    out_scalar, counters_scalar = _prefetch_scenario(scalar=True)
     assert out_batch == out_scalar
     assert counters_batch == counters_scalar
     issued, hits, wasted = counters_batch
@@ -216,12 +225,12 @@ def test_batched_fills_match_scalar_twin():
 
 
 def test_batched_fills_are_whole_bursts_on_the_fabric():
-    """With batching on, depth-N fills travel as coalesced bursts: the
+    """In production, depth-N fills travel as coalesced bursts: the
     per-line traffic counters still see N lines, but strictly fewer
-    packet *events* hit the prefetch pipe than in scalar mode."""
+    packet *events* hit the prefetch pipe than on the scalar twin."""
 
-    def pipe_requests(batch):
-        cluster = _cluster(prefetch_depth=4, prefetch_batch=batch)
+    def pipe_requests(scalar):
+        cluster = _prefetch_cluster(scalar)
         app, ptr = _setup(cluster)
         app.read(ptr, CACHE_LINE, cached=False)
         app.read(ptr + CACHE_LINE, CACHE_LINE, cached=False)
@@ -229,7 +238,30 @@ def test_batched_fills_are_whole_bursts_on_the_fabric():
         rmc = cluster.node(1).rmc
         return rmc.prefetch_issued.value, rmc._prefetch_pipe.total_requests
 
-    issued_b, pipe_b = pipe_requests(True)
-    issued_s, pipe_s = pipe_requests(False)
+    issued_b, pipe_b = pipe_requests(False)
+    issued_s, pipe_s = pipe_requests(True)
     assert issued_b == issued_s > 0  # same lines fetched...
     assert pipe_b < pipe_s  # ...in fewer issue events
+
+
+def test_scalar_twin_sends_one_packet_per_prefetched_line(monkeypatch):
+    """Vacuity guard for the twin suite: with the twin installed every
+    prefetch request the client RMC puts on the fabric carries exactly
+    one line — one packet per prefetched line."""
+    cluster = _prefetch_cluster(scalar=True)
+    app, ptr = _setup(cluster)
+    rmc = cluster.node(1).rmc
+    sent = []
+    inject = rmc.network.inject
+
+    def spy(src, packet):
+        if src == rmc.node_id and packet.meta.get("prefetch"):
+            sent.append(packet.line_count)
+        return inject(src, packet)
+
+    monkeypatch.setattr(rmc.network, "inject", spy)
+    app.read(ptr, CACHE_LINE, cached=False)
+    app.read(ptr + CACHE_LINE, CACHE_LINE, cached=False)
+    cluster.sim.run()
+    assert rmc.prefetch_issued.value > 1
+    assert sent == [1] * rmc.prefetch_issued.value

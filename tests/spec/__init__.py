@@ -1,0 +1,29 @@
+"""Executable specifications the production engines are tested against.
+
+Production code keeps one data path per engine: span classification
+and burst packets, with a single-line step for one-line accesses. The
+per-line reference paths that define what those batched paths must
+compute live here, next to the equivalence suites that use them, so
+they are no longer a setting of the production API.
+
+Each twin is a subclass that overrides only the batched methods of its
+production class:
+
+* fast tier — construct :class:`~tests.spec.fastsim.ScalarLocalMemAccessor`
+  (or the remote/swap twin) with the production constructor arguments;
+* packet tier — build a ``Cluster`` as usual, then call
+  :func:`~tests.spec.core.install_scalar_cores` (per-line cached and
+  coherent accesses, per-line flush write-backs) and/or
+  :func:`~tests.spec.rmc.install_scalar_prefetch` (one packet per
+  prefetched line). Both rebind ``__class__`` on the built objects, so
+  the twin shares every other line of production code.
+
+Standalone specs live here too: :class:`~tests.spec.cache.ReferenceCache`
+(exact LRU, for the cache differential suite) and the per-element
+columnar operators of :mod:`tests.spec.columnar`.
+
+``python -m simcheck src tests`` (rule SIM005) checks that every
+production method using a batched primitive is overridden by a twin
+here that some test imports, and that every override still names a
+method of its base class.
+"""

@@ -6,8 +6,9 @@ twin-cluster traces from ``tests/cluster/test_core_batch`` must still
 agree on time, counters and data when the engine asserts, the MESI
 legality table and the byte-conservation audit are all active.
 
-Also serves as the SIM005 twin-coverage anchor: every public accessor
-defaulting ``batch=True`` is exercised here with ``batch=False``.
+Also drives every public cached/coherent accessor, at the session and
+the core level, through the scalar twin
+(:class:`tests.spec.core.ScalarCore`) with the sanitizers on.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.config import ClusterConfig, NetworkConfig
 from repro.units import kib, mib
 
 from tests.cluster.test_core_batch import _assert_equivalent
+from tests.spec.core import install_scalar_cores
 
 
 @pytest.mark.slow
@@ -42,16 +44,18 @@ def test_mixed_trace_equivalent_under_sanitizers(monkeypatch):
 @pytest.mark.slow
 def test_generator_accessors_scalar_twins_under_sanitizers(monkeypatch):
     """Drive each ``g_*`` accessor and the core-level cached accessors
-    down their ``batch=False`` scalar reference path with sanitizers
-    on, asserting the data matches the batched run bit for bit."""
+    down the scalar twin's per-line path with sanitizers on, asserting
+    the data matches the production run bit for bit."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     payload = bytes(range(256)) * 16  # 4 KiB pattern
     results = []
-    for batch in (True, False):
+    for scalar in (False, True):
         cfg = ClusterConfig(
             network=NetworkConfig(topology="line", dims=(4, 1))
         )
         cluster = Cluster(cfg)
+        if scalar:
+            install_scalar_cores(cluster)
         assert cluster.sim.audit is not None
         app = cluster.session(1)
         app.borrow_remote(2, mib(4))
@@ -59,24 +63,20 @@ def test_generator_accessors_scalar_twins_under_sanitizers(monkeypatch):
         remote = app.malloc(mib(1), Placement.REMOTE)
         sim = cluster.sim
 
-        sim.run_process(app.g_write(remote, payload, batch=batch))
-        got_remote = sim.run_process(
-            app.g_read(remote, len(payload), batch=batch)
-        )
-        sim.run_process(app.g_coherent_write(local, payload, batch=batch))
+        sim.run_process(app.g_write(remote, payload))
+        got_remote = sim.run_process(app.g_read(remote, len(payload)))
+        sim.run_process(app.g_coherent_write(local, payload))
         got_local = sim.run_process(
-            app.g_coherent_read(local, len(payload), core=1, batch=batch)
+            app.g_coherent_read(local, len(payload), core=1)
         )
-        sim.run_process(app.g_flush(batch=batch))
+        sim.run_process(app.g_flush())
 
         # core-level twins, below the session layer
         core = cluster.node(1).cores[0]
         paddr = app.aspace.translate(local).phys_addr
-        sim.run_process(core.cached_write(paddr, payload, batch=batch))
-        got_core = sim.run_process(
-            core.cached_read(paddr, len(payload), batch=batch)
-        )
-        sim.run_process(core.flush_cache(batch=batch))
+        sim.run_process(core.cached_write(paddr, payload))
+        got_core = sim.run_process(core.cached_read(paddr, len(payload)))
+        sim.run_process(core.flush_cache())
 
         assert cluster.sim.audit.mismatches == 0
         results.append((got_remote, got_local, got_core, sim.now))

@@ -137,80 +137,90 @@ def test_sim004_allows_factories_and_tests(tmp_path):
     assert "SIM004" not in _codes(tmp_path, {"tests/test_pkt.py": in_test})
 
 
-# -- SIM005: batch twin coverage -----------------------------------------
+# -- SIM005: per-line spec twins for batched methods ----------------------
 
-_ACCESSOR = (
+_BATCHED = (
     "class Core:\n"
-    "    def cached_read(self, addr, size, batch=True):\n"
-    "        return b''\n"
+    "    def cached_read(self, addr, size):\n"
+    "        return (yield from self._touch_lines(addr, size))\n"
+    "    def _touch_lines(self, addr, size):\n"
+    "        result = self.cache.access_span(addr, size, False)\n"
+    "        yield from self._fetch_burst(result)\n"
+    "    def _fetch_burst(self, result):\n"
+    "        yield make_burst_read_req(1, 1, 0, 64, result.misses, 0)\n"
+)
+_SPEC = (
+    "from repro.cluster.core import Core\n"
+    "class ScalarCore(Core):\n"
+    "    def _touch_lines(self, addr, size):\n"
+    "        yield from ()\n"
+    "def install_scalar_cores(cluster):\n"
+    "    for core in cluster.cores:\n"
+    "        core.__class__ = ScalarCore\n"
+)
+_USER = (
+    "from tests.spec.core import install_scalar_cores\n"
+    "def test_twin(cluster):\n"
+    "    install_scalar_cores(cluster)\n"
 )
 
 
 def test_sim005_flags_unreferenced_twin(tmp_path):
+    # a batched method with no spec subclass overriding it
     test = "def test_something_else():\n    assert True\n"
     codes = _codes(
-        tmp_path, {"src/core.py": _ACCESSOR, "tests/test_x.py": test}
+        tmp_path, {"src/core.py": _BATCHED, "tests/test_x.py": test}
     )
-    assert codes == ["SIM005"]
+    assert codes == ["SIM005", "SIM005"]
 
 
-def test_sim005_satisfied_by_batch_false_call(tmp_path):
-    test = (
-        "def test_twin(core):\n"
-        "    core.cached_read(0, 64, batch=False)\n"
-    )
+def test_sim005_flags_spec_no_test_imports(tmp_path):
+    # the spec override exists, but no test ever installs it
+    test = "def test_something_else():\n    assert True\n"
+    files = {
+        "src/core.py": _BATCHED,
+        "tests/spec/core.py": _SPEC,
+        "tests/test_x.py": test,
+    }
+    paths = [_write(tmp_path, rel, src) for rel, src in files.items()]
+    _, violations = check_paths(paths, root=tmp_path)
+    assert [v.code for v in violations] == ["SIM005", "SIM005"]
+    assert all("no test imports it" in v.message for v in violations)
+
+
+def test_sim005_flags_dead_spec_override(tmp_path):
+    # the base method was renamed: the override no longer replaces
+    # anything, so the twin would silently equal production
+    renamed = _BATCHED.replace("_touch_lines", "_touch_span")
+    files = {
+        "src/core.py": renamed,
+        "tests/spec/core.py": _SPEC,
+        "tests/test_x.py": _USER,
+    }
+    paths = [_write(tmp_path, rel, src) for rel, src in files.items()]
+    _, violations = check_paths(paths, root=tmp_path)
+    dead = [v for v in violations if v.path == "tests/spec/core.py"]
+    assert [v.code for v in dead] == ["SIM005"]
+    assert "ScalarCore._touch_lines" in dead[0].message
+
+
+def test_sim005_satisfied_by_imported_spec_override(tmp_path):
+    # _touch_lines is overridden itself; _fetch_burst is reached only
+    # through it, so the same override covers it
     codes = _codes(
-        tmp_path, {"src/core.py": _ACCESSOR, "tests/test_x.py": test}
-    )
-    assert codes == []
-
-
-def test_sim005_satisfied_by_looped_batch_variable(tmp_path):
-    test = (
-        "def test_twin(core):\n"
-        "    for batch in (True, False):\n"
-        "        core.cached_read(0, 64, batch=batch)\n"
-    )
-    codes = _codes(
-        tmp_path, {"src/core.py": _ACCESSOR, "tests/test_x.py": test}
+        tmp_path,
+        {
+            "src/core.py": _BATCHED,
+            "tests/spec/core.py": _SPEC,
+            "tests/test_x.py": _USER,
+        },
     )
     assert codes == []
 
 
 def test_sim005_vacuous_without_test_files(tmp_path):
     # `python -m simcheck src` must not fail on twin coverage alone
-    assert _codes(tmp_path, {"src/core.py": _ACCESSOR}) == []
-
-
-def test_sim005_covers_columnar_accessor_pairs(tmp_path):
-    """The scan reaches the columnar plane's accessor pairs: every
-    view/window accessor defaulting batch=True needs a scalar-twin
-    call, and one covering call per *name* clears all same-named
-    defs across classes (Session.view_array + accessor adapters)."""
-    src = (
-        "class Session:\n"
-        "    def view_array(self, vaddr, count, dtype, batch=True):\n"
-        "        return None\n"
-        "    def column_windows(self, vaddr, count, dtype, batch=True):\n"
-        "        yield 0, None\n"
-        "class SessionAccessor:\n"
-        "    def view_array(self, addr, count, dtype, batch=True):\n"
-        "        return None\n"
-    )
-    bare = "def test_nothing():\n    assert True\n"
-    codes = _codes(
-        tmp_path, {"src/api.py": src, "tests/test_x.py": bare}
-    )
-    assert codes == ["SIM005", "SIM005", "SIM005"]
-    covering = (
-        "def test_twins(app):\n"
-        "    app.view_array(0, 8, 'uint64', batch=False)\n"
-        "    list(app.column_windows(0, 8, 'uint64', batch=False))\n"
-    )
-    codes = _codes(
-        tmp_path, {"src/api.py": src, "tests/test_x.py": covering}
-    )
-    assert codes == []
+    assert _codes(tmp_path, {"src/core.py": _BATCHED}) == []
 
 
 # -- SIM006: determinism hazards -----------------------------------------

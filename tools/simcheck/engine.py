@@ -5,8 +5,8 @@ covers. Rules (see :mod:`simcheck.rules`) implement two hooks:
 
 * ``check_file(ctx)`` — per-file AST pass, yields :class:`Violation`;
 * ``finalize(project)`` — cross-file pass run once after every file
-  was visited (used by SIM005, which must pair accessors in ``src``
-  with references in ``tests``).
+  was visited (used by SIM005, which must pair batched methods in
+  ``src`` with spec overrides in ``tests/spec/``).
 
 Suppression pragmas, modeled on pylint's:
 

@@ -244,95 +244,192 @@ class SIM004PacketFactories(Rule):
 
 
 class SIM005BatchTwinCoverage(Rule):
-    """Every public accessor defaulting ``batch=True`` must have its
-    ``batch=False`` twin exercised by a test in the scanned set.
+    """Every batched ``src`` method has a per-line spec twin a test uses.
 
-    The batched fast path is only trustworthy relative to the scalar
-    reference walk; an accessor whose scalar twin no test ever selects
-    can drift without any suite noticing. Enforced only when the run
-    includes test files (``python -m simcheck src tests``).
+    A method that uses a batched primitive — ``access_span`` /
+    ``access_block`` / ``read_span`` / ``write_span`` or a
+    ``make_burst_*`` packet factory — is only trustworthy relative to
+    the per-line reference walk. That walk lives in a ``tests/spec/``
+    subclass of the method's class, and the rule requires one that
+    some other test file imports (directly, or through a spec-module
+    function that names it, such as an ``install_*`` helper) and that
+    overrides the method itself or a same-class method reaching it
+    through ``self.*`` calls. Classes that define a primitive (the
+    cache, the coherence domain, the prefetcher) and ``ht/packet.py``
+    are covered by their own differential suites instead.
+
+    Every method of a spec subclass must also still exist on its
+    ``src`` base: an override of a renamed method is dead, leaves the
+    twin identical to production, and makes the equivalence suites
+    pass vacuously. Enforced only when the run includes test files
+    (``python -m simcheck src tests``).
     """
 
     code = "SIM005"
-    title = "batch=True accessor without a batch=False twin in any test"
+    title = "batched method without an imported per-line spec override"
+
+    _PRIMITIVES = frozenset(
+        {"access_span", "access_block", "read_span", "write_span"}
+    )
+
+    @classmethod
+    def _is_primitive(cls, name: str) -> bool:
+        return name in cls._PRIMITIVES or name.startswith("make_burst_")
+
+    @staticmethod
+    def _is_spec(ctx: FileContext) -> bool:
+        """True for modules of a ``tests/spec/`` package."""
+        parts = ctx.rel_path.split("/")[:-1]
+        return any(
+            a == "tests" and b == "spec" for a, b in zip(parts, parts[1:])
+        )
+
+    @staticmethod
+    def _classes(ctx: FileContext):
+        """``(ClassDef, {method name: def}, base names)`` per top-level
+        class of *ctx*."""
+        for node in ctx.tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            methods = {
+                stmt.name: stmt
+                for stmt in node.body
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            bases = tuple(n for n in map(_dotted, node.bases) if n)
+            yield node, methods, tuple(b.rsplit(".", 1)[-1] for b in bases)
 
     def finalize(self, project: Project) -> Iterator[Violation]:
         if not project.has_tests:
             return
-        referenced: set[str] = set()
-        for ctx in project.test_files:
-            for node in ast.walk(ctx.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                for kw in node.keywords:
-                    if kw.arg != "batch":
-                        continue
-                    # any explicit batch= that is not literally True
-                    # exercises the scalar twin (equivalence drivers
-                    # pass a looped variable)
-                    if not (
-                        isinstance(kw.value, ast.Constant)
-                        and kw.value.value is True
-                    ):
-                        name = _call_name(node)
-                        if name:
-                            referenced.add(name)
+        src: dict[str, tuple] = {}
         for ctx in project.src_files:
-            yield from self._check_src_file(ctx, referenced)
+            for node, methods, bases in self._classes(ctx):
+                src.setdefault(node.name, (ctx, node, methods, bases))
+        specs: dict[str, tuple] = {}
+        helpers: dict[str, set[str]] = {}
+        for ctx in project.test_files:
+            if not self._is_spec(ctx):
+                continue
+            for node, methods, bases in self._classes(ctx):
+                specs.setdefault(node.name, (ctx, node, methods, bases))
+            for stmt in ctx.tree.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    helpers[stmt.name] = {
+                        n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)
+                    }
+        imported: set[str] = set()
+        for ctx in project.test_files:
+            if self._is_spec(ctx):
+                continue
+            for node in ast.walk(ctx.tree):
+                if isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        imported.add(alias.name)
+                        imported |= helpers.get(alias.name, set())
 
-    def _check_src_file(
-        self, ctx: FileContext, referenced: set[str]
-    ) -> Iterator[Violation]:
-        class_stack: list[str] = []
+        # (src class, method) -> spec classes overriding a method of it
+        overrides: dict[str, list[tuple[str, set[str]]]] = {}
+        for name, (ctx, node, methods, bases) in specs.items():
+            ancestors = self._src_ancestors(name, specs, src)
+            if not ancestors:
+                continue  # a standalone spec (e.g. ReferenceCache)
+            for fname, fdef in methods.items():
+                if not any(fname in src[a][2] for a in ancestors):
+                    yield ctx.violation(
+                        fdef,
+                        self.code,
+                        f"spec override '{name}.{fname}' names no method of "
+                        "its base class — the twin is silently identical "
+                        "to production",
+                    )
+            for anc in ancestors:
+                overrides.setdefault(anc, []).append((name, set(methods)))
 
-        def visit(node: ast.AST) -> Iterator[Violation]:
-            if isinstance(node, ast.ClassDef):
-                class_stack.append(node.name)
-                for child in ast.iter_child_nodes(node):
-                    yield from visit(child)
-                class_stack.pop()
-                return
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_def(ctx, node, class_stack, referenced)
-            for child in ast.iter_child_nodes(node):
-                yield from visit(child)
+        for cname, (ctx, node, methods, _bases) in src.items():
+            if any(self._is_primitive(m) for m in methods):
+                continue  # defines a primitive: own differential suite
+            if ctx.in_module(*_PACKET_FACTORY):
+                continue
+            calls = {m: self._self_refs(f, methods) for m, f in methods.items()}
+            for mname, fdef in methods.items():
+                if not self._uses_primitive(fdef):
+                    continue
+                twins = [
+                    spec
+                    for spec, names in overrides.get(cname, ())
+                    if any(self._reaches(o, mname, calls) for o in names)
+                ]
+                if any(t in imported for t in twins):
+                    continue
+                if twins:
+                    msg = (
+                        f"'{cname}.{mname}' is overridden by spec twin "
+                        f"{', '.join(sorted(twins))}, but no test imports it"
+                    )
+                else:
+                    msg = (
+                        f"'{cname}.{mname}' uses a batched primitive but no "
+                        "tests/spec/ subclass overrides it (or a same-class "
+                        "method reaching it) — the per-line reference twin "
+                        "is missing"
+                    )
+                yield ctx.violation(fdef, self.code, msg)
 
-        yield from visit(ctx.tree)
+    @staticmethod
+    def _src_ancestors(name: str, specs: dict, src: dict) -> list[str]:
+        """The ``src`` classes spec class *name* descends from."""
+        out: list[str] = []
+        seen: set[str] = set()
+        queue = list(specs[name][3])
+        while queue:
+            base = queue.pop()
+            if base in seen:
+                continue
+            seen.add(base)
+            if base in src:
+                out.append(base)
+                queue.extend(src[base][3])
+            elif base in specs:
+                queue.extend(specs[base][3])
+        return out
 
-    def _check_def(
-        self,
-        ctx: FileContext,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        class_stack: list[str],
-        referenced: set[str],
-    ) -> Iterator[Violation]:
-        public_name = node.name
-        if public_name == "__init__" and class_stack:
-            public_name = class_stack[-1]
-        if public_name.startswith("_"):
-            return
-        args = node.args
-        pairs = list(
-            zip(args.args[len(args.args) - len(args.defaults):], args.defaults)
-        ) + [
-            (a, d)
-            for a, d in zip(args.kwonlyargs, args.kw_defaults)
-            if d is not None
-        ]
-        for arg, default in pairs:
-            if (
-                arg.arg == "batch"
-                and isinstance(default, ast.Constant)
-                and default.value is True
-                and public_name not in referenced
-            ):
-                yield ctx.violation(
-                    node,
-                    self.code,
-                    f"'{public_name}' defaults batch=True but no scanned "
-                    "test calls it with batch=False — the scalar reference "
-                    "twin is unguarded",
-                )
+    def _uses_primitive(self, fdef: ast.AST) -> bool:
+        for node in ast.walk(fdef):
+            name = (
+                node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else None
+            )
+            if name is not None and self._is_primitive(name):
+                return True
+        return False
+
+    @staticmethod
+    def _self_refs(fdef: ast.AST, methods: dict) -> set[str]:
+        """Same-class methods *fdef* references as ``self.<name>``."""
+        return {
+            node.attr
+            for node in ast.walk(fdef)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and node.attr in methods
+        }
+
+    @staticmethod
+    def _reaches(start: str, target: str, calls: dict) -> bool:
+        seen: set[str] = set()
+        queue = [start]
+        while queue:
+            m = queue.pop()
+            if m == target:
+                return True
+            if m in seen:
+                continue
+            seen.add(m)
+            queue.extend(calls.get(m, ()))
+        return False
 
 
 class SIM006DeterminismHazards(Rule):
