@@ -2,13 +2,14 @@
 """Simulator performance guard: fast tier, packet tier AND engine tier.
 
 Measures host-side simulation throughput on the hot paths of every
-layer (plain ``perf_counter`` loops, no plugin needed), records the
-rates in ``BENCH_fasttier.json`` / ``BENCH_packettier.json`` /
-``BENCH_columnartier.json`` / ``BENCH_enginetier.json`` at the
-repository root, and **exits non-zero
+layer (plain ``perf_counter`` loops, no plugin needed), prints the
+rates next to the baselines committed in ``BENCH_fasttier.json`` /
+``BENCH_packettier.json`` / ``BENCH_columnartier.json`` /
+``BENCH_enginetier.json`` at the repository root, and **exits non-zero
 if any path regressed more than 30%** against the committed
 ``baseline_ops_per_sec`` — run it before committing changes that touch
-``sim/``, ``mem/``, ``model/``, ``ht/``, ``rmc/`` or ``cluster/``.
+``sim/``, ``mem/``, ``model/``, ``ht/``, ``rmc/`` or ``cluster/``. A
+plain check run leaves those files untouched.
 
 Usage::
 
@@ -17,8 +18,10 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_guard.py --update-baseline packettier
 
 ``--update-baseline`` promotes this run's rates to the committed
-baseline for both suites, or for just the named one (do this when a
-deliberate change moves the numbers; commit the resulting JSON). Each
+baseline for every suite, or for just the named one, and rewrites the
+suite's file (do this when a deliberate change moves the numbers;
+commit the resulting JSON). A suite file is also written when it has
+no baseline or seed yet, to record the first one. Each
 file also keeps ``seed_ops_per_sec`` — the rates of the original
 per-line scalar implementation — so the speedup of the batched data
 path stays visible (``speedup_vs_seed``). Only the columnar tier still
@@ -28,8 +31,9 @@ committed constants, measured once with these exact bench bodies on
 implementations that no longer exist in the tree: the packet tier's
 per-line scalar data path (now a test-only spec, ``tests/spec/``),
 the eager per-set cache engine (``cluster_build_16node``), and the
-pre-rework heapq-only engine (the ``queue="heapq"`` reference mode
-shares the rework's other optimisations, so it is *not* the seed).
+pre-rework heapq-only engine (the plain-heap twin in
+``tests/spec/engine.py`` shares the rework's other optimisations, so
+it is *not* the seed).
 """
 
 from __future__ import annotations
@@ -495,10 +499,12 @@ def run_suite(suite: str, update: bool) -> list[tuple[str, float, float]]:
     baseline = doc.get("baseline_ops_per_sec", {})
     seed = doc.get("seed_ops_per_sec", {})
 
+    new_seed = False
     for name, fn in seed_fns.items():
         if name not in seed:
             print(f"[{suite}] measuring scalar seed for {name} ...")
             seed[name] = round(fn(), 1)
+            new_seed = True
 
     measured = {}
     failures = []
@@ -532,8 +538,9 @@ def run_suite(suite: str, update: bool) -> list[tuple[str, float, float]]:
     if update or not baseline:
         doc["baseline_ops_per_sec"] = measured
         print(f"[{suite}] baseline updated")
-    bench_file.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {bench_file.relative_to(REPO_ROOT)}")
+    if update or not baseline or new_seed:
+        bench_file.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {bench_file.relative_to(REPO_ROOT)}")
     return failures
 
 
@@ -544,8 +551,9 @@ def main() -> int:
         nargs="?",
         const="all",
         choices=["all", *SUITES],
-        help="promote this run's rates to the committed baseline, for "
-        "both suites (no value / 'all') or just the named one",
+        help="promote this run's rates to the committed baseline and "
+        "rewrite the suite files, for every suite (no value / 'all') or "
+        "just the named one",
     )
     args = parser.parse_args()
 

@@ -289,17 +289,7 @@ class Session:
             return np.empty(0, dtype=dt)
         c = self._core(core)
         runs = yield from self._g_column_touch(vaddr, count * dt.itemsize, core)
-        if len(runs) == 1:
-            return self.cluster.fn_read_array(
-                c._prefixed(runs[0][0]), count, dt
-            )
-        out = np.empty(count, dtype=dt)
-        mv = memoryview(out).cast("B")
-        pos = 0
-        for start, rsize, _damaged in runs:
-            self.cluster.fn_read_into(c._prefixed(start), mv[pos : pos + rsize])
-            pos += rsize
-        return out
+        return self._copy_runs(c, runs, count, dt)
 
     def g_view_array(
         self, vaddr: int, count: int, dtype, core: int = 0
@@ -326,6 +316,17 @@ class Session:
             )
             if view is not None:
                 return view
+        return self._copy_runs(c, runs, count, dt)
+
+    def _copy_runs(self, c, runs, count: int, dt: np.dtype) -> np.ndarray:
+        """Copy *count* elements of *dt* out of the physical frame *runs*
+        :meth:`_g_column_touch` returned into one fresh writable array
+        (one copy total; a single run takes the backing store's
+        chunk-slice fast path)."""
+        if len(runs) == 1:
+            return self.cluster.fn_read_array(
+                c._prefixed(runs[0][0]), count, dt
+            )
         out = np.empty(count, dtype=dt)
         mv = memoryview(out).cast("B")
         pos = 0

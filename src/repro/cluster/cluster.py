@@ -50,7 +50,6 @@ class Cluster:
         config: Optional[ClusterConfig] = None,
         *,
         debug: Optional[bool] = None,
-        queue: str = "bucket",
     ) -> None:
         self.config = config if config is not None else ClusterConfig()
         cfg = self.config
@@ -68,9 +67,8 @@ class Cluster:
 
         # debug=None consults REPRO_SANITIZE inside the Simulator; the
         # node then inherits the resolved value so every sanitizer in
-        # one cluster is on or off together. `queue` selects the event
-        # queue ("heapq" = reference spec) for differential replay tests.
-        self.sim = Simulator(debug=debug, queue=queue)
+        # one cluster is on or off together.
+        self.sim = Simulator(debug=debug)
         self.network = Network(self.sim, cfg.network)
         self.tags = TagAllocator()
         self.nodes: dict[int, Node] = {

@@ -14,26 +14,27 @@ Determinism: ties in time are broken by a monotonically increasing
 sequence number, so two runs with the same seeds replay identically.
 Time is measured in nanoseconds (see :mod:`repro.units`).
 
-Queue disciplines (see :mod:`repro.sim.equeue`): the default
-``queue="bucket"`` keeps events due at the current instant in a FIFO
-ready lane and drains same-timestamp heap ties in one pass on every
-clock advance; ``queue="heapq"`` is the plain binary-heap reference
-spec the differential suite pins the bucketed discipline against. Both
-fire events in identical ``(time, seq)`` order. The hot paths below
-(``Timeout.__init__``, the non-debug ``run`` loop) inline the queue
-operations — :mod:`repro.sim.equeue` documents the semantics they must
-agree with, and ``tests/sim/test_equeue_differential.py`` enforces it.
+The event list has two lanes. Events due at the current instant go to
+a FIFO *ready* deque (no heap sift, and arrival order is seq order);
+later events go to a binary heap. When the clock advances, every heap
+entry tied at the new time is drained into the ready lane in one pass.
+Invariant: while the clock sits at *t*, every queued entry due at *t*
+is in the ready lane in seq order and the heap holds only later times,
+so events fire in exactly the ``(time, seq)`` order of a plain
+binary-heap event list. ``tests/spec/engine.py`` keeps that plain heap
+as an executable spec, and ``tests/sim/test_equeue.py`` pins this
+engine's fire order to it.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from collections.abc import Generator
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.equeue import make_queue
 from repro.sim.sanitize import (
     PacketAudit,
     check_clock_monotonic,
@@ -166,7 +167,7 @@ class Timeout(Event):
     cannot be double-triggered, and the queue push happens right here
     instead of through :meth:`Simulator._schedule`. The semantics match
     the out-of-line path exactly — same validation, same ``(time, seq)``
-    entry, same bucket-vs-heap placement.
+    entry, same ready-lane-vs-heap placement.
     """
 
     __slots__ = ("delay",)
@@ -188,7 +189,7 @@ class Timeout(Event):
         sim._seq = seq + 1
         # ``when == now`` also catches positive delays that underflow to
         # the current instant (now + delay == now in float arithmetic)
-        if sim._bucket and when == now:
+        if when == now:
             sim._ready.append((when, seq, self))
         else:
             heappush(sim._heap, (when, seq, self))
@@ -279,13 +280,10 @@ class Process(Event):
             self._value = stop.value
             sim._schedule(self, 0.0)
             return
-        except BaseException as exc:  # simcheck: disable=SIM011 -- trampoline: the failure becomes the process outcome; joiners re-raise it
+        except BaseException as exc:
             self._ok = False
             self._value = exc
-            if not sim._catch_process_errors:
-                raise
-            sim._schedule(self, 0.0)
-            return
+            raise
         finally:
             sim._active = None
 
@@ -394,49 +392,31 @@ class Simulator:
         sim.process(producer(sim, items))
         sim.run()
 
-    ``queue`` selects the event-list discipline: ``"bucket"`` (default,
-    ready-lane + same-timestamp draining) or ``"heapq"`` (the plain
-    binary-heap reference spec). Fire order is identical; see
-    :mod:`repro.sim.equeue`.
+    The event list is a ready deque for the current instant plus a heap
+    of later ``(time, seq, event)`` entries (see the module docstring);
+    both are engine-private.
     """
 
     __slots__ = (
         "_now",
-        "_equeue",
         "_heap",
         "_ready",
-        "_bucket",
         "_seq",
         "_running",
         "_active",
-        "_catch_process_errors",
-        "queue_kind",
         "debug",
         "audit",
     )
 
-    def __init__(
-        self,
-        *,
-        catch_process_errors: bool = False,
-        debug: Optional[bool] = None,
-        queue: str = "bucket",
-    ) -> None:
+    def __init__(self, *, debug: Optional[bool] = None) -> None:
         self._now: float = 0.0
-        self._equeue = make_queue(queue)
-        # Alias the queue's storage so hot paths touch the containers
-        # directly; equeue.py documents the push/pop semantics.
-        self._heap = self._equeue.heap
-        self._ready = self._equeue.ready
-        self._bucket: bool = self._equeue.bucketed
+        #: entries due later than ``_now``, ordered by ``(time, seq)``
+        self._heap: list[tuple[float, int, Event]] = []
+        #: entries due at ``_now``, in seq order
+        self._ready: deque[tuple[float, int, Event]] = deque()
         self._seq: int = 0
         self._running = False
         self._active: Optional[Process] = None
-        #: Which queue discipline this simulator runs ("bucket"/"heapq").
-        self.queue_kind: str = queue
-        #: When True, exceptions escaping a process fail its event
-        #: instead of aborting the run (useful for fault injection).
-        self._catch_process_errors = catch_process_errors
         if debug is None:
             debug = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
         #: Sanitizer mode: scheduling asserts in the engine plus the
@@ -499,7 +479,7 @@ class Simulator:
         when = now + delay
         seq = self._seq
         self._seq = seq + 1
-        if self._bucket and when == now:
+        if when == now:
             self._ready.append((when, seq, event))
         else:
             heappush(self._heap, (when, seq, event))
@@ -531,12 +511,11 @@ class Simulator:
         if self.debug:
             check_clock_monotonic(self._now, when)
         self._now = when
-        if self._bucket:
-            # same-timestamp draining: move every entry tied at `when`
-            # into the ready lane in one pass (heap pops of equal times
-            # come out in seq order, so the lane stays sorted)
-            while heap and heap[0][0] == when:
-                ready.append(heappop(heap))
+        # same-timestamp draining: move every entry tied at `when` into
+        # the ready lane in one pass (heap pops of equal times come out
+        # in seq order, so the lane stays sorted)
+        while heap and heap[0][0] == when:
+            ready.append(heappop(heap))
         event._fire()
 
     def run(self, until: Optional[float] = None) -> float:
@@ -566,7 +545,6 @@ class Simulator:
                 # of Event._fire() inlined
                 heap = self._heap
                 ready = self._ready
-                bucket = self._bucket
                 popleft = ready.popleft
                 drain = ready.append
                 while True:
@@ -580,9 +558,8 @@ class Simulator:
                             break
                         when, _, event = heappop(heap)
                         self._now = when
-                        if bucket:
-                            while heap and heap[0][0] == when:
-                                drain(heappop(heap))
+                        while heap and heap[0][0] == when:
+                            drain(heappop(heap))
                     else:
                         break
                     callbacks = event.callbacks

@@ -73,11 +73,10 @@ def check_clock_monotonic(now: float, when: float) -> None:
 def check_ready_entry(now: float, when: float) -> None:
     """Assert a ready-lane entry is due at the current instant.
 
-    The bucketed queue's invariant is that the ready lane only ever
-    holds entries scheduled for exactly the current clock value; a
-    violation means a push leaked a future (or past) time into the
-    lane, which would silently reorder events relative to the heapq
-    reference.
+    The engine's invariant is that the ready lane only ever holds
+    entries scheduled for exactly the current clock value; a violation
+    means a push leaked a future (or past) time into the lane, which
+    would silently reorder events relative to a plain heap.
     """
     if when != now:
         raise SanitizeError(

@@ -1,10 +1,12 @@
-"""Differential tests: the bucketed event queue against the heapq
-reference spec, at the queue level and through the full Simulator.
+"""Differential tests: the engine's two-lane event list against the
+plain binary-heap twin, one event at a time and through whole runs.
 
-The heapq implementation in :mod:`repro.sim.equeue` is the executable
-specification of event ordering; the bucketed queue must match its pop
-sequence exactly on every schedule, including same-timestamp ties and
-pushes interleaved with pops.
+:class:`~tests.spec.engine.HeapSimulator` is the executable
+specification of event ordering; the production
+:class:`~repro.sim.engine.Simulator` must match its fire sequence
+exactly on every schedule, including same-timestamp ties and schedules
+interleaved with fires. Vacuity guards check that the production
+engine really uses its ready lane and that the twin never does.
 """
 
 from __future__ import annotations
@@ -15,121 +17,144 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.equeue import (
-    QUEUE_KINDS,
-    BucketEventQueue,
-    HeapEventQueue,
-    make_queue,
-)
 from repro.sim.resources import Store
+from tests.spec.engine import HeapSimulator, lanes
 
-
-# -- factory / registry ------------------------------------------------------
-
-
-def test_make_queue_kinds():
-    assert isinstance(make_queue("bucket"), BucketEventQueue)
-    assert isinstance(make_queue("heapq"), HeapEventQueue)
-    assert set(QUEUE_KINDS) == {"bucket", "heapq"}
-    # the bucket queue IS-A heap queue behaviourally; only `bucketed`
-    # tells the engine whether the ready lane is live
-    assert BucketEventQueue.bucketed and not HeapEventQueue.bucketed
-
-
-def test_make_queue_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="splay"):
-        make_queue("splay")
+ENGINES = [
+    pytest.param(Simulator, id="bucket"),
+    pytest.param(HeapSimulator, id="heapq"),
+]
 
 
 def test_simulator_unknown_queue_kind_rejected():
-    with pytest.raises(ValueError):
+    # the event list is no longer selectable
+    with pytest.raises(TypeError):
         Simulator(queue="fifo")
 
 
-# -- queue-level differential -----------------------------------------------
+# -- event-at-a-time differential -------------------------------------------
 
 
-def _queue_run(kind: str, seed: int) -> list[tuple[float, int]]:
-    """Drive one queue through a random schedule, engine-style.
+def _queue_run(sim_cls, seed: int) -> tuple[list, int]:
+    """Drive one simulator through a random schedule with ``step()``.
 
-    Pushes happen at the current clock (entries due now and later,
-    including exact ties); each pop advances the clock to the popped
-    entry's time, as :meth:`Simulator.step` does.
+    Events are scheduled at the current clock (due now and later,
+    including exact ties); each step fires one and may schedule more.
+    Returns the ``(time, id)`` fire sequence and the most entries ever
+    seen waiting in the ready lane.
     """
     rng = random.Random(seed)
-    q = make_queue(kind)
+    sim = sim_cls()
     seq = 0
-    now = 0.0
     out: list[tuple[float, int]] = []
+    ready_max = 0
 
-    def push_some(n: int) -> None:
+    def record(evt):
+        out.append((sim.now, evt.value))
+
+    def schedule_some(n: int) -> None:
         nonlocal seq
         for _ in range(n):
             delay = rng.choice([0.0, 0.0, 0.25, 1.0, rng.random() * 4])
-            q.push(now, (now + delay, seq, None))
+            evt = sim.event()
+            evt.add_callback(record)
+            evt.succeed(seq, delay=delay)
             seq += 1
 
-    push_some(12)
-    while q:
-        when, s, _payload = q.pop()
-        assert when >= now  # clock monotonicity
-        now = when
-        out.append((when, s))
+    schedule_some(12)
+    while sim.peek() != float("inf"):
+        before = sim.now
+        sim.step()
+        assert sim.now >= before  # clock monotonicity
         if rng.random() < 0.4 and seq < 300:
-            push_some(rng.randrange(0, 3))
-    return out
+            schedule_some(rng.randrange(0, 3))
+        ready_max = max(ready_max, lanes(sim)[0])
+    return out, ready_max
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_queue_differential_random_schedules(seed):
-    assert _queue_run("bucket", seed) == _queue_run("heapq", seed)
+    fast, _ = _queue_run(Simulator, seed)
+    ref, ref_ready = _queue_run(HeapSimulator, seed)
+    assert fast == ref
+    assert ref_ready == 0
+
+
+def test_random_schedules_exercise_the_ready_lane():
+    assert all(_queue_run(Simulator, seed)[1] > 0 for seed in range(25))
 
 
 def test_queue_ties_pop_in_seq_order():
-    for kind in QUEUE_KINDS:
-        q = make_queue(kind)
-        # all at t=5.0, deliberately pushed out of seq order is
-        # impossible (seq is monotonic), so push a stale-time mix
-        q.push(0.0, (5.0, 0, "a"))
-        q.push(0.0, (2.0, 1, "b"))
-        q.push(0.0, (5.0, 2, "c"))
-        q.push(0.0, (2.0, 3, "d"))
-        got = [q.pop()[2] for _ in range(4)]
-        assert got == ["b", "d", "a", "c"], kind
+    for sim_cls in (Simulator, HeapSimulator):
+        sim = sim_cls()
+        got: list = []
+        for name, when in (("a", 5.0), ("b", 2.0), ("c", 5.0), ("d", 2.0)):
+            sim.timeout(when, name).add_callback(lambda e: got.append(e.value))
+        for _ in range(4):
+            sim.step()
+        assert got == ["b", "d", "a", "c"], sim_cls.__name__
 
 
 def test_bucket_ready_lane_catches_now_pushes():
-    q = make_queue("bucket")
-    q.push(0.0, (3.0, 0, "later"))
-    first = q.pop()
-    assert first[2] == "later"
-    # clock is now 3.0: a push at exactly `now` must go to the ready
+    sim = Simulator()
+    sim.timeout(3.0)
+    assert lanes(sim) == (0, 1)
+    sim.step()
+    # clock is now 3.0: a timeout due exactly now goes to the ready
     # lane, not the heap
-    q.push(3.0, (3.0, 1, "tie"))
-    assert len(q.ready) == 1 and not q.heap
-    assert q.pop()[2] == "tie"
+    sim.timeout(0.0, "tie")
+    assert lanes(sim) == (1, 0)
+    sim.step()
+    # a clock advance drains every heap entry tied at the new time
+    for when in (5.0, 5.0, 5.0, 7.0):
+        sim.timeout(when)
+    assert lanes(sim) == (0, 4)
+    sim.step()
+    assert sim.now == 8.0 and lanes(sim) == (2, 1)
 
 
-# -- Simulator-level differential -------------------------------------------
+def test_heap_twin_never_uses_the_ready_lane():
+    sim = HeapSimulator()
+    sim.timeout(3.0)
+    sim.step()
+    sim.timeout(0.0)
+    sim.event().succeed()
+
+    def idle():
+        yield sim.timeout(1.0)
+
+    sim.process(idle())
+    assert lanes(sim) == (0, 3)
 
 
-def _sim_trace(queue: str, seed: int, until=None, debug: bool = False) -> list:
+# -- whole-run differential -------------------------------------------------
+
+
+def _sim_trace(
+    sim_cls, seed: int, until=None, debug: bool = False
+) -> tuple[list, list[int]]:
     """A mixed workload: tied timeouts, store hand-offs, event chains.
 
     Returns the complete observable trace — (time, actor, step) tuples
     in fire order plus the final clock — which must be bit-identical
-    across queue kinds.
+    across engines, and the ready-lane length seen at every trace point
+    as the vacuity guards' evidence.
     """
     rng = random.Random(seed)
-    sim = Simulator(queue=queue, debug=debug)
+    sim = sim_cls(debug=debug)
     store: Store = Store(sim)
     trace: list = []
+    ready_seen: list[int] = []
+
+    def note(*entry) -> None:
+        trace.append(entry)
+        ready_seen.append(lanes(sim)[0])
 
     def ticker(pid: int, sub: int):
         r = random.Random(sub)
         for k in range(10):
             yield sim.timeout(r.choice([0.0, 0.0, 0.5, 1.0, 3.75]))
-            trace.append((sim.now, "tick", pid, k))
+            note(sim.now, "tick", pid, k)
 
     def producer():
         for i in range(8):
@@ -139,7 +164,7 @@ def _sim_trace(queue: str, seed: int, until=None, debug: bool = False) -> list:
     def consumer():
         for _ in range(8):
             item = yield store.get()
-            trace.append((sim.now, "got", item))
+            note(sim.now, "got", item)
 
     for pid in range(5):
         sim.process(ticker(pid, seed * 100 + pid))
@@ -147,28 +172,36 @@ def _sim_trace(queue: str, seed: int, until=None, debug: bool = False) -> list:
     sim.process(consumer())
     sim.run(until=until)
     trace.append(("final", sim.now))
-    return trace
+    return trace, ready_seen
+
+
+def _differential(seed: int, until=None) -> None:
+    fast, fast_ready = _sim_trace(Simulator, seed, until)
+    ref, ref_ready = _sim_trace(HeapSimulator, seed, until)
+    assert fast == ref
+    assert not any(ref_ready)
+    assert any(fast_ready)  # the production engine used its ready lane
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_simulator_differential_traces(seed):
-    assert _sim_trace("bucket", seed) == _sim_trace("heapq", seed)
+    _differential(seed)
 
 
 @pytest.mark.parametrize("until", [0.0, 0.5, 1.0, 3.75, 7.25, 1000.0])
 def test_simulator_differential_run_until_boundary(until):
-    assert _sim_trace("bucket", 3, until) == _sim_trace("heapq", 3, until)
+    _differential(3, until)
 
 
-@pytest.mark.parametrize("kind", list(QUEUE_KINDS))
-def test_step_on_empty_queue_raises(kind):
-    sim = Simulator(queue=kind)
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_step_on_empty_queue_raises(sim_cls):
+    sim = sim_cls()
     with pytest.raises(SimulationError, match="no events scheduled"):
         sim.step()
 
 
-@pytest.mark.parametrize("kind", list(QUEUE_KINDS))
-def test_debug_mode_matches_plain_mode(kind):
+@pytest.mark.parametrize("sim_cls", ENGINES)
+def test_debug_mode_matches_plain_mode(sim_cls):
     """The sanitized step path and the inlined hot loop fire the same
     schedule — debug mode must never change replay."""
-    assert _sim_trace(kind, 7) == _sim_trace(kind, 7, debug=True)
+    assert _sim_trace(sim_cls, 7) == _sim_trace(sim_cls, 7, debug=True)

@@ -47,24 +47,26 @@ def test_sim001_allows_the_engine_itself(tmp_path):
 
 
 def test_sim001_flags_ready_lane_and_queue_object(tmp_path):
-    # the bucketed-queue internals are engine state like _heap/_now
+    # the ready lane and the sequence counter are engine state like
+    # _heap/_now, in tests as much as in src
     src = (
         "def drain(sim):\n"
         "    sim._ready.clear()\n"
-        "    sim._equeue.pop()\n"
+        "    sim._seq = 0\n"
     )
-    assert _codes(tmp_path, {"pkg/hack.py": src}) == ["SIM001", "SIM001"]
+    assert _codes(tmp_path, {"tests/sim/hack.py": src}) == ["SIM001", "SIM001"]
 
 
 def test_sim001_allows_the_queue_module(tmp_path):
+    # the engine's plain-heap spec reads and moves entries between lanes
     src = (
-        "class BucketEventQueue:\n"
+        "class HeapSimulator(Simulator):\n"
         "    def clear(self):\n"
-        "        self.ready.clear()\n"
-        "def reset(q):\n"
-        "    q._ready = []\n"
+        "        self._ready.clear()\n"
+        "def lanes(sim):\n"
+        "    return len(sim._ready), len(sim._heap)\n"
     )
-    assert _codes(tmp_path, {"sim/equeue.py": src}) == []
+    assert _codes(tmp_path, {"tests/spec/engine.py": src}) == []
 
 
 # -- SIM002: timed cost via Simulator.timeout ----------------------------
@@ -87,15 +89,20 @@ def test_sim002_allows_sim_timeout(tmp_path):
 
 
 def test_sim002_allows_heapq_in_the_queue_module(tmp_path):
-    # sim/equeue.py is engine-internal: it owns the heap operations
+    # tests/spec/engine.py is the engine's spec: it owns heap operations
+    # and schedules through _schedule like the engine does
     src = (
         "from heapq import heappop, heappush\n"
         "def push(heap, entry):\n"
         "    heappush(heap, entry)\n"
         "def pop(heap):\n"
         "    return heappop(heap)\n"
+        "def timeout(sim, t, delay):\n"
+        "    sim._schedule(t, delay)\n"
     )
-    assert "SIM002" not in _codes(tmp_path, {"sim/equeue.py": src})
+    assert "SIM002" not in _codes(tmp_path, {"tests/spec/engine.py": src})
+    # ...but nowhere else under tests/
+    assert "SIM002" in _codes(tmp_path, {"tests/spec/other.py": src})
 
 
 # -- SIM003: float-literal drift on *_ns ---------------------------------

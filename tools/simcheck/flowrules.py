@@ -470,7 +470,7 @@ _HOOK_ATTRS = frozenset(
     {"_faults", "audit", "health", "_fence", "_lease_epochs"}
 )
 _HOT_DIRS = frozenset({"ht", "noc", "rmc", "mem"})
-_HOT_FILES = ("sim/engine.py", "sim/equeue.py")
+_HOT_FILES = ("sim/engine.py",)
 
 
 def _is_hot_path(rel_path: str) -> bool:
@@ -557,7 +557,7 @@ class SIM010DisarmedPathProof(Rule):
     """Zero-cost-when-disarmed, as a theorem instead of a diff.
 
     In the hot-path modules (``ht/``, ``noc/``, ``rmc/``, ``mem/``,
-    ``sim/engine.py``, ``sim/equeue.py``), the fault/audit/health hook
+    ``sim/engine.py``), the fault/audit/health hook
     objects are ``None`` until armed (DESIGN §10/§12). Every attribute
     access *through* such a hook (``self._faults.scrub(...)``,
     ``self.sim.audit.record(...)``) must be dominated by an

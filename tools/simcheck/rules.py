@@ -25,8 +25,8 @@ from simcheck.engine import FileContext, Project, Violation
 __all__ = ["Rule", "ALL_RULES", "rule_catalogue"]
 
 #: modules allowed to touch the engine's event-queue internals (the
-#: engine proper plus its queue-storage module)
-_ENGINE = ("sim/engine.py", "sim/equeue.py")
+#: engine proper plus its plain-heap twin in the test specs)
+_ENGINE = ("sim/engine.py", "tests/spec/engine.py")
 #: modules allowed to do float-literal arithmetic on ``*_ns`` values
 _NS_LAYER = ("model/latency.py", "units.py")
 #: the only module allowed to construct :class:`Packet` directly
@@ -105,21 +105,20 @@ class Rule:
 
 
 class SIM001EngineInternals(Rule):
-    """Event-queue and clock internals stay inside the engine modules
-    (``sim/engine.py`` and its queue storage ``sim/equeue.py``).
+    """Event-queue and clock internals stay inside the engine
+    (``sim/engine.py``) and its executable spec (``tests/spec/engine.py``).
 
-    Any touch of ``_now``/``_heap``/``_ready``/``_seq``/``_equeue``
-    elsewhere can rewind the clock or reorder the event queue behind
-    the determinism guarantee's back.
+    Any touch of ``_now``/``_heap``/``_ready``/``_seq`` elsewhere can
+    rewind the clock or reorder the event queue behind the determinism
+    guarantee's back.
     """
 
     code = "SIM001"
     title = "engine event-queue/clock internals touched outside sim/engine.py"
 
     # NOTE: deliberately does not include "_queue" — Resource._queue in
-    # sim/resources.py is an ordinary waiter deque, not engine state;
-    # the Simulator's queue object is named "_equeue" for this reason.
-    _INTERNALS = frozenset({"_now", "_heap", "_seq", "_ready", "_equeue"})
+    # sim/resources.py is an ordinary waiter deque, not engine state.
+    _INTERNALS = frozenset({"_now", "_heap", "_seq", "_ready"})
 
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
         if ctx.in_module(*_ENGINE):
