@@ -11,13 +11,13 @@ the fallback for any address with a non-zero node prefix.
 
 from __future__ import annotations
 
-from typing import Generator, Protocol
+from typing import Protocol
 
 from repro.errors import AddressError, ProtocolError
 from repro.ht.device import HT_MAX_DEVICES, HTDevice
 from repro.ht.packet import Packet
 from repro.sim.engine import Event, Simulator
-from repro.sim.resources import Resource
+from repro.sim.resources import Request, Resource
 
 __all__ = ["Crossbar", "AddressedDevice"]
 
@@ -88,27 +88,40 @@ class Crossbar:
         return self.send_to(packet, target)
 
     def send_to(self, packet: Packet, target: AddressedDevice) -> Event:
-        """Route *packet* to an explicit device (e.g. a response path)."""
-        done = self.sim.event()
-        self.sim.process(self._transfer(packet, target, done),
-                         name=f"{self.name}.xfer")
-        return done
+        """Route *packet* to an explicit device (e.g. a response path).
 
-    def _transfer(
-        self, packet: Packet, target: AddressedDevice, done: Event
-    ) -> Generator:
-        grant = self._links.request()
-        yield grant
-        try:
-            if self.sim.audit is not None:
-                self.sim.audit.record("crossbar", packet)
-            # a coalesced burst pays one traversal per line it replaces
-            yield self.sim.timeout(self.latency_ns * packet.line_count)
-            if self._faults is None or not self._faults.filter_crossbar(
-                self.node_id, packet
-            ):
-                target.deliver(packet)
-            self.routed += packet.line_count
-        finally:
-            self._links.release(grant)
-        done.succeed()
+        A callback chain (kick-off, link grant, traversal) rather than a
+        process, so no exit event is scheduled that nothing waits on;
+        every other event keeps its place in the fire order.
+        """
+        sim = self.sim
+        links = self._links
+        done = sim.event()
+
+        def granted(grant: Request) -> None:
+            def traversed(_timeout: Event) -> None:
+                try:
+                    if self._faults is None or not self._faults.filter_crossbar(
+                        self.node_id, packet
+                    ):
+                        target.deliver(packet)
+                    self.routed += packet.line_count
+                finally:
+                    links.release(grant)
+                done.succeed()
+
+            try:
+                if sim.audit is not None:
+                    sim.audit.record("crossbar", packet)
+                # a coalesced burst pays one traversal per line it replaces
+                sim.timeout(self.latency_ns * packet.line_count).add_callback(
+                    traversed
+                )
+            except BaseException:
+                links.release(grant)
+                raise
+
+        sim.timeout(0.0).add_callback(
+            lambda _kick: links.request().add_callback(granted)
+        )
+        return done

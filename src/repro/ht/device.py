@@ -58,7 +58,7 @@ class HTDevice:
     # -- wiring ----------------------------------------------------------
     def deliver(self, packet: Packet) -> None:
         """Synchronously enqueue a packet (used by links and crossbars)."""
-        self.ingress.put(packet)
+        self.ingress.offer(packet)
 
     # -- behaviour ---------------------------------------------------------
     def handle(self, packet: Packet) -> Generator:

@@ -79,7 +79,8 @@ class Link:
         # wire_bytes already includes the command header(s); for a burst
         # it covers one header per coalesced line, so serialization
         # equals that of the scalar packets the burst replaces
-        ser = packet.wire_bytes / self.config.bandwidth_Bpns
+        wire_bytes = packet.wire_bytes
+        ser = wire_bytes / self.config.bandwidth_Bpns
         if packet.meta.get("prefetch"):
             # low-priority VC: wait out demand and earlier prefetch,
             # claim only the prefetch lane
@@ -89,7 +90,7 @@ class Link:
             start = max(now, self._busy_until)
             self._busy_until = start + ser
         self.packets.add(packet.line_count)
-        self.bytes.add(packet.wire_bytes)
+        self.bytes.add(wire_bytes)
         self.occupancy.adjust(+1, now)
 
         done = self.sim.event()
@@ -101,13 +102,16 @@ class Link:
         def _serialized(_evt: Event) -> None:
             self.occupancy.adjust(-1, self.sim.now)
             if not lost:
-                # schedule delivery after propagation
-                deliver = self.sim.timeout(propagation)
-                deliver.add_callback(lambda _e: self.sink.put(packet))
+                # deliver after propagation; nothing waits on admission
+                # (a full sink queues the packet, the wire never stalls)
+                self.sim.timeout(propagation, packet).add_callback(self._land)
             done.succeed()
 
         self.sim.timeout(start - now + ser).add_callback(_serialized)
         return done
+
+    def _land(self, arrival: Event) -> None:
+        self.sink.offer(arrival.value)
 
     @property
     def busy(self) -> bool:

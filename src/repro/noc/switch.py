@@ -3,26 +3,29 @@
 Each FPGA carries a switch that routes HNC packets between its four
 mesh ports and the local RMC (Section IV-B). The model:
 
-* one bounded ingress queue (input buffering; full buffers exert
-  back-pressure on upstream links because their delivery ``put``
-  blocks),
-* a forwarding process that charges the switch traversal latency and
+* one bounded ingress queue (input buffering). Link deliveries never
+  wait on it: an arrival at a full ingress queues behind it, and the
+  upstream wire keeps serializing. Only the local RMC's injection
+  (:meth:`~repro.noc.network.Network.inject`, whose put the RMC
+  yields) blocks on a full ingress,
+* a forwarding loop that charges the switch traversal latency and
   pushes the packet onto the proper output link (or hands it to the
-  local endpoint when it has arrived),
+  local endpoint when it has arrived), plus a second one for the
+  prefetch lane,
 * per-switch forwarded/delivered counters feeding the congestion
   analysis of Figs. 7 and 8.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 from repro.config import NetworkConfig
 from repro.errors import TopologyError
 from repro.ht.link import Link
 from repro.ht.packet import Packet
 from repro.noc.routing import RoutingTable
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.resources import Store
 from repro.sim.stats import Counter
 
@@ -47,8 +50,9 @@ class Switch:
         self.out_links: dict[int, Link] = {}
         #: local endpoint callback (the RMC's fabric-ingress deliver)
         self._endpoint: Optional[Callable[[Packet], None]] = None
-        # Ingress shared by all input ports; bounded so a congested
-        # switch back-pressures its upstream links.
+        # Ingress shared by all input ports. Bounded, but only the local
+        # RMC's injection blocks on it; link arrivals at a full ingress
+        # queue behind it without stalling their wire.
         port_count = 5  # 4 mesh directions + local injection
         self.ingress = Store(
             sim,
@@ -65,8 +69,8 @@ class Switch:
         self.delivered = Counter(f"sw{node_id}.delivered")
         #: fault-injection hook; armed only by sim/faults.py (SIM007)
         self._faults = None
-        sim.process(self._forward_loop(), name=f"sw{node_id}.fwd")
-        sim.process(self._pf_forward_loop(), name=f"sw{node_id}.pf_fwd")
+        sim.timeout(0.0).add_callback(self._next_demand)
+        sim.timeout(0.0).add_callback(self._next_prefetch)
 
     # -- wiring ----------------------------------------------------------
     def connect(self, neighbor: int, link: Link) -> None:
@@ -81,44 +85,55 @@ class Switch:
             raise TopologyError(f"switch {self.node_id} already has an endpoint")
         self._endpoint = deliver
 
-    # -- packet entry points -----------------------------------------------
-    def inject(self, packet: Packet) -> "Store":
-        """Local RMC injects a packet; returns the ingress store event
-        source so callers may block on admission via ``put``."""
-        return self.ingress
-
     # -- forwarding engine ---------------------------------------------------
-    def _forward_loop(self) -> Generator:
-        while True:
-            packet: Packet = yield self.ingress.get()
-            if self._faults is not None and self._faults.filter_switch(
-                self.node_id, packet
-            ):
-                continue  # dropped in flight, or the node is dead
-            if self.sim.audit is not None:
-                self.sim.audit.record(f"switch{self.node_id}", packet)
-            if packet.meta.get("prefetch"):
-                # divert to the low-priority VC; the demand loop moves
-                # straight on to the next ingress packet
-                yield self._pf_lane.put(packet)
-                continue
-            # bursts pay one arbitration+traversal per coalesced line
-            yield self.sim.timeout(
-                self.config.switch_latency_ns * packet.line_count
-            )
-            yield from self._dispatch(packet)
+    # Both loops are callback chains rather than processes: every event
+    # they schedule (the kick-off, each ingress get, traversal timeout,
+    # prefetch-lane put and link-serialization wait) is scheduled at the
+    # same point a generator loop would schedule it.
+    def _next_demand(self, _evt: Optional[Event] = None) -> None:
+        self.ingress.get().add_callback(self._on_demand)
 
-    def _pf_forward_loop(self) -> Generator:
+    def _on_demand(self, got: Event) -> None:
+        packet: Packet = got.value
+        if self._faults is not None and self._faults.filter_switch(
+            self.node_id, packet
+        ):
+            self._next_demand()  # dropped in flight, or the node is dead
+            return
+        if self.sim.audit is not None:
+            self.sim.audit.record(f"switch{self.node_id}", packet)
+        if packet.meta.get("prefetch"):
+            # divert to the low-priority VC; the demand loop moves
+            # straight on to the next ingress packet
+            self._pf_lane.put(packet).add_callback(self._next_demand)
+            return
+        # bursts pay one arbitration+traversal per coalesced line
+        self.sim.timeout(
+            self.config.switch_latency_ns * packet.line_count, packet
+        ).add_callback(self._demand_traversed)
+
+    def _demand_traversed(self, traversal: Event) -> None:
+        self._dispatch(traversal.value, self._next_demand)
+
+    def _next_prefetch(self, _evt: Optional[Event] = None) -> None:
+        self._pf_lane.get().add_callback(self._on_prefetch)
+
+    def _on_prefetch(self, got: Event) -> None:
         # same traversal charges as the demand loop, FIFO among
         # prefetch packets only
-        while True:
-            packet: Packet = yield self._pf_lane.get()
-            yield self.sim.timeout(
-                self.config.switch_latency_ns * packet.line_count
-            )
-            yield from self._dispatch(packet)
+        packet: Packet = got.value
+        self.sim.timeout(
+            self.config.switch_latency_ns * packet.line_count, packet
+        ).add_callback(self._prefetch_traversed)
 
-    def _dispatch(self, packet: Packet) -> Generator:
+    def _prefetch_traversed(self, traversal: Event) -> None:
+        self._dispatch(traversal.value, self._next_prefetch)
+
+    def _dispatch(
+        self, packet: Packet, then: Callable[[Optional[Event]], None]
+    ) -> None:
+        """Hand *packet* on, then continue its loop with *then*: at once
+        for a local delivery, after serialization for a forward."""
         if packet.dst == self.node_id:
             self.delivered.add(packet.line_count)
             if self._endpoint is None:
@@ -127,6 +142,7 @@ class Switch:
                     "endpoint is attached"
                 )
             self._endpoint(packet)
+            then(None)
             return
         nxt = self.routing.next_hop(self.node_id, packet.dst)
         try:
@@ -137,6 +153,6 @@ class Switch:
             ) from None
         packet.hops += 1
         self.forwarded.add(packet.line_count)
-        # Wait for serialization (this is where link contention and
-        # back-pressure arise); propagation is pipelined inside Link.
-        yield link.send(packet)
+        # Wait for serialization (this is where link contention arises);
+        # propagation is pipelined inside Link.
+        link.send(packet).add_callback(then)

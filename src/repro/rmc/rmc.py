@@ -155,7 +155,7 @@ class RMC:
             exhausted=self.retries_exhausted,
         )
 
-        network.attach(node_id, self._fabric_in.put)
+        network.attach(node_id, self._fabric_in.offer)
         sim.process(self._local_loop(), name=f"{self.name}.local")
         sim.process(self._fabric_loop(), name=f"{self.name}.fabric")
         sim.process(self._mc_resp_loop(), name=f"{self.name}.mcresp")
@@ -170,7 +170,7 @@ class RMC:
         return self.amap.node_of(addr) != 0
 
     def deliver(self, packet: Packet) -> None:
-        self.ingress.put(packet)
+        self.ingress.offer(packet)
 
     # -- OS-level control-plane API ------------------------------------------
     def send_ctrl(self, dst_node: int, tag: int | None = None, **meta) -> Event:
@@ -636,7 +636,7 @@ class RMC:
         assert op.slot is not None and op.reply_to is not None
         self._slots.release(op.slot)
         self.inflight.adjust(-1, self.sim.now)
-        op.reply_to.put(
+        op.reply_to.offer(
             make_fault(
                 op.request, self.node_id, message,
                 retries=op.retries, reason=reason,

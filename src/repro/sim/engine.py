@@ -269,7 +269,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator with the result of *event*."""
         sim = self.sim
-        sim._active = self
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -284,8 +283,6 @@ class Process(Event):
             self._ok = False
             self._value = exc
             raise
-        finally:
-            sim._active = None
 
         if not isinstance(target, Event):
             # Tell the generator it misbehaved so stack traces point at it.
@@ -403,7 +400,6 @@ class Simulator:
         "_ready",
         "_seq",
         "_running",
-        "_active",
         "debug",
         "audit",
     )
@@ -416,7 +412,6 @@ class Simulator:
         self._ready: deque[tuple[float, int, Event]] = deque()
         self._seq: int = 0
         self._running = False
-        self._active: Optional[Process] = None
         if debug is None:
             debug = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
         #: Sanitizer mode: scheduling asserts in the engine plus the
@@ -439,11 +434,6 @@ class Simulator:
         the O(bursts) accounting tests assert on (a whole-column scan
         must schedule O(bursts) events, not O(elements))."""
         return self._seq
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active
 
     # -- event construction -----------------------------------------------
     def event(self) -> Event:

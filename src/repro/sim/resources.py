@@ -19,6 +19,7 @@ Usage pattern inside a process::
         resource.release(grant)
 
     yield store.put(item)        # blocks when the store is full
+    store.offer(item)            # never waits: no put event at all
     item = yield store.get()     # blocks when the store is empty
 """
 
@@ -33,14 +34,25 @@ from repro.sim.engine import Event, Simulator
 __all__ = ["Resource", "Request", "Store"]
 
 
-class Request(Event):
-    """Grant event handed out by :meth:`Resource.request`."""
+#: :attr:`Request._state` values
+_QUEUED = 0
+_HELD = 1
+_DONE = 2
 
-    __slots__ = ("resource",)
+
+class Request(Event):
+    """Grant event handed out by :meth:`Resource.request`.
+
+    Carries its own bookkeeping: whether it is queued, held or done,
+    and when it was queued (for the resource's wait-time total).
+    """
+
+    __slots__ = ("resource", "_queued_at", "_state")
 
     def __init__(self, sim: Simulator, resource: "Resource") -> None:
         super().__init__(sim)
         self.resource = resource
+        self._state = _QUEUED
 
 
 class Resource:
@@ -54,11 +66,10 @@ class Resource:
         "sim",
         "capacity",
         "name",
-        "_users",
+        "_count",
         "_queue",
         "total_requests",
         "total_wait_time",
-        "_request_times",
     )
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "") -> None:
@@ -67,18 +78,17 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._users: set[Request] = set()
+        self._count = 0
         self._queue: Deque[Request] = deque()
         # instrumentation
         self.total_requests = 0
         self.total_wait_time = 0.0
-        self._request_times: dict[Request, float] = {}
 
     # -- public API ------------------------------------------------------
     @property
     def count(self) -> int:
         """Number of current holders."""
-        return len(self._users)
+        return self._count
 
     @property
     def queued(self) -> int:
@@ -89,32 +99,34 @@ class Resource:
         """Ask for the resource; yield the returned event to wait for it."""
         req = Request(self.sim, self)
         self.total_requests += 1
-        self._request_times[req] = self.sim.now
-        if len(self._users) < self.capacity:
-            self._grant(req)
+        if self._count < self.capacity:
+            self._grant(req)  # granted on the spot: no wait to account
         else:
+            req._queued_at = self.sim.now
             self._queue.append(req)
         return req
 
     def release(self, request: Request) -> None:
         """Give the resource back; grants the head of the queue, if any."""
-        if request in self._users:
-            self._users.discard(request)
-        elif request in self._queue:
+        state = request._state if request.resource is self else _DONE
+        if state == _HELD:
+            request._state = _DONE
+            self._count -= 1
+            if self._queue and self._count < self.capacity:
+                head = self._queue.popleft()
+                self.total_wait_time += self.sim.now - head._queued_at
+                self._grant(head)
+        elif state == _QUEUED:
             # Cancelled before it was granted.
             self._queue.remove(request)
-            self._request_times.pop(request, None)
-            return
+            request._state = _DONE
         else:
             raise SimulationError("release() of a request that never held the resource")
-        if self._queue and len(self._users) < self.capacity:
-            self._grant(self._queue.popleft())
 
     # -- internals ----------------------------------------------------------
     def _grant(self, req: Request) -> None:
-        self._users.add(req)
-        issued = self._request_times.pop(req, self.sim.now)
-        self.total_wait_time += self.sim.now - issued
+        self._count += 1
+        req._state = _HELD
         req.succeed(req)
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -124,20 +136,15 @@ class Resource:
         )
 
 
-class _StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, sim: Simulator, item: Any) -> None:
-        super().__init__(sim)
-        self.item = item
-
-
 class Store:
     """FIFO item store with optional bounded capacity.
 
     ``put`` returns an event that fires once the item is accepted
-    (immediately unless the store is full). ``get`` returns an event
-    whose value is the retrieved item.
+    (immediately unless the store is full). ``offer`` is the event-free
+    put for callers that never wait on acceptance: it queues behind
+    earlier putters exactly like ``put`` but schedules nothing, now or
+    when the item is later admitted. ``get`` returns an event whose
+    value is the retrieved item.
     """
 
     __slots__ = (
@@ -165,7 +172,9 @@ class Store:
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[_StorePut] = deque()
+        #: blocked putters in arrival order: ``(item, put event)``, the
+        #: event being ``None`` for an offer
+        self._putters: Deque[tuple[Any, Optional[Event]]] = deque()
         # instrumentation
         self.total_puts = 0
         self.total_gets = 0
@@ -178,14 +187,19 @@ class Store:
         return len(self._items)
 
     def put(self, item: Any) -> Event:
-        """Offer *item*; the returned event fires when it is accepted."""
-        evt = _StorePut(self.sim, item)
-        self.total_puts += 1
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._accept(evt)
-        else:
-            self._putters.append(evt)
+        """Put *item*; the returned event fires when it is accepted."""
+        evt = Event(self.sim)
+        self._put(item, evt)
         return evt
+
+    def offer(self, item: Any) -> None:
+        """Put *item* without a put event (nobody waits on acceptance).
+
+        A waiting getter receives the item at the same point ``put``
+        would hand it over; a full store queues it FIFO with the other
+        putters.
+        """
+        self._put(item, None)
 
     def get(self) -> Event:
         """Take the oldest item; the returned event's value is the item."""
@@ -193,7 +207,8 @@ class Store:
         self.total_gets += 1
         if self._items:
             evt.succeed(self._items.popleft())
-            self._admit_waiting_putter()
+            if self._putters:
+                self._admit_waiting_putter()
         else:
             self._getters.append(evt)
         return evt
@@ -207,20 +222,28 @@ class Store:
         return item
 
     # -- internals ----------------------------------------------------------
-    def _accept(self, put_evt: _StorePut) -> None:
+    def _put(self, item: Any, put_evt: Optional[Event]) -> None:
+        self.total_puts += 1
+        if self.capacity is None or len(self._items) < self.capacity:
+            self._accept(item, put_evt)
+        else:
+            self._putters.append((item, put_evt))
+
+    def _accept(self, item: Any, put_evt: Optional[Event]) -> None:
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
-            self._getters.popleft().succeed(put_evt.item)
+            self._getters.popleft().succeed(item)
         else:
-            self._items.append(put_evt.item)
+            self._items.append(item)
             self.max_level = max(self.max_level, len(self._items))
-        put_evt.succeed(None)
+        if put_evt is not None:
+            put_evt.succeed(None)
 
     def _admit_waiting_putter(self) -> None:
         if self._putters and (
             self.capacity is None or len(self._items) < self.capacity
         ):
-            self._accept(self._putters.popleft())
+            self._accept(*self._putters.popleft())
 
     def __repr__(self) -> str:  # pragma: no cover
         cap = "inf" if self.capacity is None else self.capacity

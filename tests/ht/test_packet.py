@@ -9,6 +9,7 @@ from repro.ht.packet import (
     Packet,
     PacketType,
     TagAllocator,
+    clone_packet,
     make_burst_read_req,
     make_burst_write_req,
     make_ctrl,
@@ -178,3 +179,32 @@ def test_burst_validation():
 def test_single_line_burst_is_scalar():
     assert make_burst_read_req(1, 2, 0x0, 64, 1, tag=3).line_count == 1
     assert "x" not in repr(make_burst_read_req(1, 2, 0x0, 64, 1, tag=3)).split("size")[1]
+
+
+def test_clone_packet_matches_a_fresh_construction():
+    req = make_write_req(1, 2, 0x1000, b"\x05" * 8, tag=3)
+    req.meta["reply_to"] = "store"
+    req.hops = 2
+    clone = clone_packet(req, dst=4, issue_ns=12.5)
+    assert clone == Packet(
+        PacketType.WRITE_REQ, 1, 4, 0x1000, 8, 3,
+        payload=b"\x05" * 8, hops=2, issue_ns=12.5,
+        meta={"reply_to": "store"},
+    )
+    # a fresh meta dict: mutating the clone's never touches the original
+    assert clone.meta is not req.meta
+    clone.meta["extra"] = 1
+    assert "extra" not in req.meta
+    # an explicit meta override is used as given
+    meta = {"k": 1}
+    assert clone_packet(req, meta=meta).meta is meta
+
+
+def test_clone_packet_revalidates_and_rejects_unknown_fields():
+    req = make_write_req(1, 2, 0x1000, b"\x05" * 8, tag=3)
+    with pytest.raises(ProtocolError):
+        clone_packet(req, size=16)  # payload no longer matches
+    with pytest.raises(ProtocolError):
+        clone_packet(req, line_count=0)
+    with pytest.raises(TypeError):
+        clone_packet(req, colour="red")

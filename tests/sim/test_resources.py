@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import SimulationError
@@ -210,3 +212,89 @@ def test_store_instrumentation_counters(sim):
     store.get()
     assert store.total_puts == 2
     assert store.total_gets == 1
+
+
+def test_release_twice_or_after_cancel_is_error(sim):
+    res = Resource(sim, 1)
+    held = res.request()
+    queued = res.request()
+    res.release(queued)  # cancelled while waiting: nothing is granted
+    assert (res.count, res.queued) == (1, 0)
+    with pytest.raises(SimulationError, match="never held"):
+        res.release(queued)
+    res.release(held)
+    with pytest.raises(SimulationError, match="never held"):
+        res.release(held)
+    assert (res.count, res.queued) == (0, 0)
+
+
+def test_contended_resource_statistics(sim):
+    """Holder count, queue length and wait totals on a contended
+    trace, pinned to the values of the set/dict bookkeeping the
+    per-request state replaced."""
+    res = Resource(sim, capacity=2)
+    samples = []
+
+    def worker(sim, res, wid):
+        for k in range(4):
+            yield sim.timeout((wid * 3 + k * 5) % 7)
+            grant = res.request()
+            samples.append((sim.now, res.count, res.queued))
+            yield grant
+            yield sim.timeout(2.0 + (wid + k) % 3)
+            res.release(grant)
+            samples.append((sim.now, res.count, res.queued))
+
+    for wid in range(5):
+        sim.process(worker(sim, res, wid))
+    sim.run()
+    assert res.total_requests == 20
+    assert (res.count, res.queued) == (0, 0)
+    assert res.total_wait_time == 24.0
+    assert max(queued for _, _, queued in samples) == 3  # contended
+    assert hashlib.sha256(repr(samples).encode()).hexdigest() == (
+        "76ec0390251f13c8dd42fc0697ddd0ce1f9013c235f1bdf96c21aebbd4194484"
+    )
+
+
+def test_offer_into_full_store_queues_behind_putters(sim):
+    store = Store(sim, capacity=1)
+    store.put("a")
+    blocked = store.put("b")  # an event putter, queued
+    store.offer("c")  # queues behind it
+    assert store.level == 1 and not blocked.triggered
+    got = []
+
+    def consumer(sim, store):
+        for _ in range(3):
+            got.append((yield store.get()))
+
+    sim.process(consumer(sim, store))
+    before = sim.events_scheduled
+    sim.run()
+    assert got == ["a", "b", "c"]
+    assert blocked.processed
+    # kick-off, three gets and b's put event: admitting "c" schedules
+    # nothing
+    assert sim.events_scheduled - before == 5
+    assert store.total_puts == 3
+
+
+@pytest.mark.parametrize("use_offer", [False, True])
+def test_offer_hands_over_where_put_does(sim, use_offer):
+    store = Store(sim)
+    order = []
+    getter = store.get()
+    getter.add_callback(lambda e: order.append(("get", e.value)))
+    sim.timeout(0.0).add_callback(lambda _e: order.append("before"))
+    before = sim.events_scheduled
+    if use_offer:
+        assert store.offer("x") is None
+    else:
+        store.put("x")
+    scheduled = sim.events_scheduled - before
+    sim.timeout(0.0).add_callback(lambda _e: order.append("after"))
+    sim.run()
+    assert order == ["before", ("get", "x"), "after"]
+    # put also schedules its own put event; offer only the hand-over
+    assert scheduled == (1 if use_offer else 2)
