@@ -31,7 +31,9 @@ After every run the soak asserts the recovery invariants:
   session's final memory equals a fault-free run of the same workload;
 * replay is bit-identical: running the same seed twice produces the
   same fault log, health events, recovery reports, and final memory,
-  byte for byte.
+  byte for byte;
+* replay matches the fixed point: each seed's digest equals the one
+  recorded in ``golden.json`` (``golden.py --update`` re-records it).
 
 Exactness is asserted in *strict* mode when the run produced exactly
 one recovery (the planned kill). Schedules whose flaps partition the
@@ -56,6 +58,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Generator
 
+import golden
 from repro.cluster.cluster import Cluster
 from repro.cluster.malloc import Placement
 from repro.config import (
@@ -804,6 +807,7 @@ def partition_soak(seeds: list[int], verbose: bool = False) -> int:
         d1, d2 = _digest(first), _digest(again)
         if d1 != d2:
             failures.append(f"replay diverged: {d1[:12]} != {d2[:12]}")
+        failures += golden.soak_mismatches("partitions", {seed: d1})
 
         health = first.cluster.health
         kinds = [k for _, k, _ in health.events]
@@ -853,6 +857,7 @@ def soak(seeds: list[int], verbose: bool = False) -> int:
         d1, d2 = _digest(first), _digest(again)
         if d1 != d2:
             failures.append(f"replay diverged: {d1[:12]} != {d2[:12]}")
+        failures += golden.soak_mismatches("quick", {seed: d1})
 
         health = first.cluster.health
         mttrs = [r.mttr_ns for r in health.recoveries if r.allocations]

@@ -57,6 +57,11 @@ step "simcheck warm-cache budget" simcheck_warm_budget
 
 step "fault smoke (donor kill)" python benchmarks/fault_smoke.py
 
+# the fixed point: every experiment's --scale 0.2 output must match its
+# digest in golden.json (the soak steps below check their per-seed
+# digests against the same file)
+step "golden digests (every experiment, scale 0.2)" python benchmarks/golden.py
+
 # sanitizers ON for the chaos soak: a schedule that trips an engine or
 # packet invariant must fail the gate, not silently mis-simulate
 step "chaos soak (quick)" env REPRO_SANITIZE=1 python benchmarks/chaos_soak.py --quick

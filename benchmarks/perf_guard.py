@@ -2,7 +2,9 @@
 """Simulator performance guard: fast tier, packet tier AND engine tier.
 
 Measures host-side simulation throughput on the hot paths of every
-layer (plain ``perf_counter`` loops, no plugin needed), prints the
+layer (plain ``perf_counter`` loops, no plugin needed, each scaled to a
+nominal-speed host by ``perfbench/hostspeed.py``'s reference kernel
+timed beside it), prints the
 rates next to the baselines committed in ``BENCH_fasttier.json`` /
 ``BENCH_packettier.json`` / ``BENCH_columnartier.json`` /
 ``BENCH_enginetier.json`` at the repository root, and **exits non-zero
@@ -51,6 +53,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 REGRESSION_TOLERANCE = 0.30
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+
+from hostspeed import slowdown  # noqa: E402
 
 from repro.cluster.cluster import Cluster  # noqa: E402
 from repro.cluster.malloc import Placement  # noqa: E402
@@ -62,17 +67,22 @@ from repro.units import PAGE_SIZE, mib  # noqa: E402
 
 
 def _rate(fn, ops: int, repeats: int = 3) -> float:
-    """Median ops/sec over *repeats* runs.
+    """Median host-speed-scaled ops/sec over *repeats* runs.
 
-    The median (rather than the old min-wall-time) absorbs one-off
-    scheduler hiccups in either direction, so committed baselines move
-    less between otherwise identical runs.
+    Each run's wall time is divided by the host slowdown measured right
+    beside it (the mean of perfbench's reference kernel timed just
+    before and just after), so a rate is what the program does on the
+    nominal host, not what the neighbours leave of this one. The median
+    (rather than the old min-wall-time) absorbs one-off scheduler
+    hiccups in either direction.
     """
     times = []
     for _ in range(repeats):
+        before = slowdown(3)
         t0 = time.perf_counter()
         fn()
-        times.append(time.perf_counter() - t0)
+        elapsed = time.perf_counter() - t0
+        times.append(elapsed / ((before + slowdown(3)) / 2))
     return ops / statistics.median(times)
 
 

@@ -11,13 +11,13 @@ the fallback for any address with a non-zero node prefix.
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Optional, Protocol
 
 from repro.errors import AddressError, ProtocolError
 from repro.ht.device import HT_MAX_DEVICES, HTDevice
 from repro.ht.packet import Packet
 from repro.sim.engine import Event, Simulator
-from repro.sim.resources import Request, Resource
+from repro.sim.resources import Resource
 
 __all__ = ["Crossbar", "AddressedDevice"]
 
@@ -84,44 +84,54 @@ class Crossbar:
     # -- transfer ---------------------------------------------------------
     def send(self, packet: Packet) -> Event:
         """Route *packet* to its owner; fires after crossbar traversal."""
-        target = self.route_target(packet.addr)
-        return self.send_to(packet, target)
+        done = self.sim.event()
+        self._transfer(packet, self.route_target(packet.addr), done)
+        return done
+
+    def post(self, packet: Packet) -> None:
+        """Route *packet* to its owner when nobody waits on the traversal
+        (no completion event is scheduled)."""
+        self._transfer(packet, self.route_target(packet.addr), None)
 
     def send_to(self, packet: Packet, target: AddressedDevice) -> Event:
-        """Route *packet* to an explicit device (e.g. a response path).
-
-        A callback chain (kick-off, link grant, traversal) rather than a
-        process, so no exit event is scheduled that nothing waits on;
-        every other event keeps its place in the fire order.
-        """
-        sim = self.sim
-        links = self._links
-        done = sim.event()
-
-        def granted(grant: Request) -> None:
-            def traversed(_timeout: Event) -> None:
-                try:
-                    if self._faults is None or not self._faults.filter_crossbar(
-                        self.node_id, packet
-                    ):
-                        target.deliver(packet)
-                    self.routed += packet.line_count
-                finally:
-                    links.release(grant)
-                done.succeed()
-
-            try:
-                if sim.audit is not None:
-                    sim.audit.record("crossbar", packet)
-                # a coalesced burst pays one traversal per line it replaces
-                sim.timeout(self.latency_ns * packet.line_count).add_callback(
-                    traversed
-                )
-            except BaseException:
-                links.release(grant)
-                raise
-
-        sim.timeout(0.0).add_callback(
-            lambda _kick: links.request().add_callback(granted)
-        )
+        """Route *packet* to an explicit device (e.g. a response path)."""
+        done = self.sim.event()
+        self._transfer(packet, target, done)
         return done
+
+    # A callback chain (kick-off, link grant, traversal): each call
+    # takes the ``(time, seq)`` place of the matching event of a
+    # generator transfer, and nothing is scheduled that nobody waits on.
+    def _transfer(
+        self, packet: Packet, target: AddressedDevice, done: Optional[Event]
+    ) -> None:
+        self.sim.call_later(0.0, self._kick_off, (packet, target, done))
+
+    def _kick_off(self, transfer: tuple) -> None:
+        self._links.request_then(self._granted, transfer)
+
+    def _granted(self, transfer: tuple) -> None:
+        packet = transfer[0]
+        try:
+            if self.sim.audit is not None:
+                self.sim.audit.record("crossbar", packet)
+            # a coalesced burst pays one traversal per line it replaces
+            self.sim.call_later(
+                self.latency_ns * packet.line_count, self._traversed, transfer
+            )
+        except BaseException:
+            self._links.release_one()
+            raise
+
+    def _traversed(self, transfer: tuple) -> None:
+        packet, target, done = transfer
+        try:
+            if self._faults is None or not self._faults.filter_crossbar(
+                self.node_id, packet
+            ):
+                target.deliver(packet)
+            self.routed += packet.line_count
+        finally:
+            self._links.release_one()
+        if done is not None:
+            done.succeed()

@@ -1,9 +1,9 @@
 """HT device abstraction.
 
-Everything that terminates HT packets — memory controllers, the RMC,
-the OS-lite control daemon — is an :class:`HTDevice`: it owns an
-ingress :class:`~repro.sim.resources.Store` and a dispatcher process
-that hands each arriving packet to :meth:`handle`.
+A packet-terminating component such as a memory controller is an
+:class:`HTDevice`: it owns an ingress
+:class:`~repro.sim.resources.Store` and one or more dispatcher chains
+that hand each arriving packet to :meth:`handle`.
 
 Plain HyperTransport can enumerate at most :data:`HT_MAX_DEVICES`
 devices on one chain — the architectural limit (Section IV-A) that
@@ -12,7 +12,7 @@ forces the prototype to use High Node Count HT between nodes.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import ProtocolError
 from repro.ht.packet import Packet
@@ -29,11 +29,13 @@ HT_MAX_DEVICES: int = 32
 class HTDevice:
     """Base class for packet-terminating components.
 
-    Subclasses override :meth:`handle`, a generator that may yield
-    simulation events (timeouts, resource grants) while servicing the
-    packet. Each device processes its ingress serially unless
-    ``parallelism`` > 1 — a memory controller with multiple banks sets
-    this higher; the prototype RMC keeps it at 1.
+    Subclasses override :meth:`handle`, a callback chain that services
+    one packet (through ``sim.call_later`` and the callback waits of
+    :mod:`repro.sim.resources`) and calls ``done(None)`` once, where a
+    generator handler would have returned. Each device processes its
+    ingress serially unless ``parallelism`` > 1 — a memory controller
+    with multiple banks sets this higher. A dispatcher is a chain:
+    ingress get, ``handle``, next get.
     """
 
     def __init__(
@@ -50,10 +52,8 @@ class HTDevice:
         self.ingress = ingress if ingress is not None else Store(sim, name=f"{name}.in")
         self.received = Counter(f"{name}.received")
         self.parallelism = parallelism
-        self._dispatchers = [
-            sim.process(self._dispatch_loop(), name=f"{name}.dispatch{i}")
-            for i in range(parallelism)
-        ]
+        for _ in range(parallelism):
+            sim.call_later(0.0, self._next_packet)
 
     # -- wiring ----------------------------------------------------------
     def deliver(self, packet: Packet) -> None:
@@ -61,16 +61,17 @@ class HTDevice:
         self.ingress.offer(packet)
 
     # -- behaviour ---------------------------------------------------------
-    def handle(self, packet: Packet) -> Generator:
-        """Service one packet. Override in subclasses."""
+    def handle(self, packet: Packet, done: Callable[[Any], None]) -> None:
+        """Service one packet, then call ``done(None)``. Override in
+        subclasses."""
         raise NotImplementedError
-        yield  # pragma: no cover - makes this a generator for typing
 
-    def _dispatch_loop(self) -> Generator:
-        while True:
-            packet = yield self.ingress.get()
-            self.received.add(packet.line_count)
-            yield from self.handle(packet)
+    def _next_packet(self, _arg: Any = None) -> None:
+        self.ingress.get_then(self._dispatch)
+
+    def _dispatch(self, packet: Packet) -> None:
+        self.received.add(packet.line_count)
+        self.handle(packet, self._next_packet)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name}>"

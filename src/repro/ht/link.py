@@ -12,7 +12,7 @@ HyperTransport's full-duplex lanes.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.config import LinkConfig
 from repro.ht.packet import Packet
@@ -30,6 +30,8 @@ class Link:
     reads from. Use :meth:`send` from a process::
 
         yield link.send(packet)      # returns once serialization ends
+
+    and :meth:`send_then` from a callback chain.
     """
 
     def __init__(
@@ -64,6 +66,24 @@ class Link:
         Delivery into the far-end store happens one propagation delay
         after serialization completes (not awaited by the sender).
         """
+        done = self.sim.event()
+        self._transmit(packet, done, None, None)
+        return done
+
+    def send_then(
+        self, packet: Packet, fn: Callable[[Any], Any], arg: Any = None
+    ) -> None:
+        """Callback form of :meth:`send`: ``fn(arg)`` runs when the wire
+        frees."""
+        self._transmit(packet, None, fn, arg)
+
+    def _transmit(
+        self,
+        packet: Packet,
+        done: Optional[Event],
+        fn: Optional[Callable[[Any], Any]],
+        arg: Any,
+    ) -> None:
         # A lost packet still occupies the wire for its serialization
         # window (the transmitter does not know the lane is dead), but
         # never reaches the far-end store — that is what the RMC
@@ -92,26 +112,29 @@ class Link:
         self.packets.add(packet.line_count)
         self.bytes.add(wire_bytes)
         self.occupancy.adjust(+1, now)
+        self.sim.call_later(
+            start - now + ser, self._serialized, (packet, lost, done, fn, arg)
+        )
 
-        done = self.sim.event()
-        # the scalar packets a burst stands for fly strictly back to
-        # back (the issuer waits out each response), so each one pays
-        # propagation on the critical path — charge all of them
-        propagation = self.config.propagation_ns * packet.line_count
-
-        def _serialized(_evt: Event) -> None:
-            self.occupancy.adjust(-1, self.sim.now)
-            if not lost:
-                # deliver after propagation; nothing waits on admission
-                # (a full sink queues the packet, the wire never stalls)
-                self.sim.timeout(propagation, packet).add_callback(self._land)
+    def _serialized(self, sent: tuple) -> None:
+        packet, lost, done, fn, arg = sent
+        sim = self.sim
+        self.occupancy.adjust(-1, sim.now)
+        if not lost:
+            # deliver after propagation; nothing waits on admission (a
+            # full sink queues the packet, the wire never stalls). The
+            # scalar packets a burst stands for fly strictly back to
+            # back (the issuer waits out each response), so each one
+            # pays propagation on the critical path — charge them all
+            sim.call_later(
+                self.config.propagation_ns * packet.line_count,
+                self.sink.offer,
+                packet,
+            )
+        if done is not None:
             done.succeed()
-
-        self.sim.timeout(start - now + ser).add_callback(_serialized)
-        return done
-
-    def _land(self, arrival: Event) -> None:
-        self.sink.offer(arrival.value)
+        else:
+            sim.call_later(0.0, fn, arg)
 
     @property
     def busy(self) -> bool:

@@ -14,7 +14,7 @@ overlaps independent accesses.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Any, Callable
 
 from repro.config import DRAMConfig
 from repro.errors import AddressError, ProtocolError
@@ -103,7 +103,9 @@ class MemoryController(HTDevice):
             return (addr // (granularity * n)) * granularity + addr % granularity
         return addr - self.base
 
-    def handle(self, packet: Packet) -> Generator:
+    # One chain per dispatcher: bank grant, service delay, functional
+    # access, reply put, then ``done`` takes the next ingress packet.
+    def handle(self, packet: Packet, done: Callable[[Any], None]) -> None:
         if packet.ptype not in (PacketType.READ_REQ, PacketType.WRITE_REQ):
             raise ProtocolError(f"memory controller got {packet.ptype}")
         if not self.owns(packet.addr):
@@ -118,12 +120,14 @@ class MemoryController(HTDevice):
             )
         if self.sim.audit is not None:
             self.sim.audit.record("mc", packet)
-        t0 = self.sim.now
         offset = self._local_offset(packet.addr)
         bank = self._banks[self.timing.bank_of(offset)]
-        grant = bank.request()
-        yield grant
+        bank.request_then(self._granted, (packet, done, bank, offset, self.sim.now))
+
+    def _granted(self, job: tuple) -> None:
+        packet, _, bank, offset, _ = job
         try:
+            n = packet.line_count
             if n == 1:
                 service = self.config.controller_ns + self.timing.access_ns(offset)
             else:
@@ -139,7 +143,15 @@ class MemoryController(HTDevice):
                     )
                     for k in range(n)
                 )
-            yield self.sim.timeout(service)
+            self.sim.call_later(service, self._serviced, job)
+        except BaseException:
+            bank.release_one()
+            raise
+
+    def _serviced(self, job: tuple) -> None:
+        packet, done, bank, _, t0 = job
+        n = packet.line_count
+        try:
             if packet.ptype is PacketType.READ_REQ:
                 self.reads.add(n)
                 data = self.backing.read(packet.addr, packet.size)
@@ -154,8 +166,8 @@ class MemoryController(HTDevice):
                     self.backing.write(packet.addr, packet.payload)
                 response = make_write_ack(packet)
         finally:
-            bank.release(grant)
+            bank.release_one()
         self.service_ns.observe(self.sim.now - t0)
         reply_to: Store = packet.meta["reply_to"]
         response.meta.update(packet.meta)
-        yield reply_to.put(response)
+        reply_to.put_then(response, done)

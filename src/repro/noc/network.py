@@ -8,7 +8,7 @@ as per-node endpoints and inject through :meth:`Network.inject`.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable, Optional
 
 from repro.config import NetworkConfig
 from repro.errors import TopologyError
@@ -18,6 +18,7 @@ from repro.noc.routing import RoutingTable
 from repro.noc.switch import Switch
 from repro.noc.topology import Topology
 from repro.sim.engine import Event, Simulator
+from repro.sim.resources import Store
 
 __all__ = ["Network"]
 
@@ -61,11 +62,30 @@ class Network:
         Blocks (event pends) while the switch ingress is full — the
         back-pressure a saturated fabric applies to its RMC.
         """
+        return self._ingress(node_id, packet).put(packet)
+
+    def inject_then(
+        self,
+        node_id: int,
+        packet: Packet,
+        fn: Optional[Callable[[Any], Any]] = None,
+        arg: Any = None,
+    ) -> None:
+        """Callback form of :meth:`inject`: ``fn(arg)`` runs once the
+        switch admits *packet*. Without *fn* nothing waits on the
+        admission, and none is scheduled."""
+        ingress = self._ingress(node_id, packet)
+        if fn is None:
+            ingress.offer(packet)
+        else:
+            ingress.put_then(packet, fn, arg)
+
+    def _ingress(self, node_id: int, packet: Packet) -> Store:
         if packet.dst == node_id:
             raise TopologyError(
                 f"packet destined to node {node_id} injected at node {node_id}"
             )
-        return self._switch(node_id).ingress.put(packet)
+        return self._switch(node_id).ingress
 
     # -- queries ---------------------------------------------------------------
     def hops(self, src: int, dst: int) -> int:

@@ -18,14 +18,14 @@ mesh ports and the local RMC (Section IV-B). The model:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.config import NetworkConfig
 from repro.errors import TopologyError
 from repro.ht.link import Link
 from repro.ht.packet import Packet
 from repro.noc.routing import RoutingTable
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.resources import Store
 from repro.sim.stats import Counter
 
@@ -69,8 +69,8 @@ class Switch:
         self.delivered = Counter(f"sw{node_id}.delivered")
         #: fault-injection hook; armed only by sim/faults.py (SIM007)
         self._faults = None
-        sim.timeout(0.0).add_callback(self._next_demand)
-        sim.timeout(0.0).add_callback(self._next_prefetch)
+        sim.call_later(0.0, self._next_demand)
+        sim.call_later(0.0, self._next_prefetch)
 
     # -- wiring ----------------------------------------------------------
     def connect(self, neighbor: int, link: Link) -> None:
@@ -86,15 +86,14 @@ class Switch:
         self._endpoint = deliver
 
     # -- forwarding engine ---------------------------------------------------
-    # Both loops are callback chains rather than processes: every event
-    # they schedule (the kick-off, each ingress get, traversal timeout,
-    # prefetch-lane put and link-serialization wait) is scheduled at the
-    # same point a generator loop would schedule it.
-    def _next_demand(self, _evt: Optional[Event] = None) -> None:
-        self.ingress.get().add_callback(self._on_demand)
+    # Both loops are callback chains rather than processes: every call
+    # they schedule (the kick-off, each ingress get, traversal delay,
+    # prefetch-lane put and link-serialization wait) takes the place the
+    # matching event of a generator loop would take.
+    def _next_demand(self, _arg: Any = None) -> None:
+        self.ingress.get_then(self._on_demand)
 
-    def _on_demand(self, got: Event) -> None:
-        packet: Packet = got.value
+    def _on_demand(self, packet: Packet) -> None:
         if self._faults is not None and self._faults.filter_switch(
             self.node_id, packet
         ):
@@ -105,33 +104,34 @@ class Switch:
         if packet.meta.get("prefetch"):
             # divert to the low-priority VC; the demand loop moves
             # straight on to the next ingress packet
-            self._pf_lane.put(packet).add_callback(self._next_demand)
+            self._pf_lane.put_then(packet, self._next_demand)
             return
         # bursts pay one arbitration+traversal per coalesced line
-        self.sim.timeout(
-            self.config.switch_latency_ns * packet.line_count, packet
-        ).add_callback(self._demand_traversed)
+        self.sim.call_later(
+            self.config.switch_latency_ns * packet.line_count,
+            self._demand_traversed,
+            packet,
+        )
 
-    def _demand_traversed(self, traversal: Event) -> None:
-        self._dispatch(traversal.value, self._next_demand)
+    def _demand_traversed(self, packet: Packet) -> None:
+        self._dispatch(packet, self._next_demand)
 
-    def _next_prefetch(self, _evt: Optional[Event] = None) -> None:
-        self._pf_lane.get().add_callback(self._on_prefetch)
+    def _next_prefetch(self, _arg: Any = None) -> None:
+        self._pf_lane.get_then(self._on_prefetch)
 
-    def _on_prefetch(self, got: Event) -> None:
+    def _on_prefetch(self, packet: Packet) -> None:
         # same traversal charges as the demand loop, FIFO among
         # prefetch packets only
-        packet: Packet = got.value
-        self.sim.timeout(
-            self.config.switch_latency_ns * packet.line_count, packet
-        ).add_callback(self._prefetch_traversed)
+        self.sim.call_later(
+            self.config.switch_latency_ns * packet.line_count,
+            self._prefetch_traversed,
+            packet,
+        )
 
-    def _prefetch_traversed(self, traversal: Event) -> None:
-        self._dispatch(traversal.value, self._next_prefetch)
+    def _prefetch_traversed(self, packet: Packet) -> None:
+        self._dispatch(packet, self._next_prefetch)
 
-    def _dispatch(
-        self, packet: Packet, then: Callable[[Optional[Event]], None]
-    ) -> None:
+    def _dispatch(self, packet: Packet, then: Callable[[Any], None]) -> None:
         """Hand *packet* on, then continue its loop with *then*: at once
         for a local delivery, after serialization for a forward."""
         if packet.dst == self.node_id:
@@ -155,4 +155,4 @@ class Switch:
         self.forwarded.add(packet.line_count)
         # Wait for serialization (this is where link contention arises);
         # propagation is pipelined inside Link.
-        link.send(packet).add_callback(then)
+        link.send_then(packet, then)

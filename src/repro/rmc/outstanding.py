@@ -6,8 +6,8 @@ the issuing core. The table pairs responses with requests by tag,
 counts retransmissions, and exposes occupancy for instrumentation.
 
 :class:`RequestWatchdog` adds end-to-end loss detection on top of the
-table: when ``RMCConfig.request_timeout_ns`` is set, every demand
-request gets a watcher process that retransmits on expiry (capped
+table: when ``RMCConfig.request_timeout_ns`` is set, every request
+gets a watcher callback chain that retransmits on expiry (capped
 exponential back-off) and abandons the transaction with a
 machine-check FAULT completion once ``max_retries`` is exhausted —
 a lost packet degrades to an error instead of hanging ``sim.run()``.
@@ -16,13 +16,13 @@ a lost packet degrades to an error instead of hanging ``sim.run()``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
 from repro.config import RMCConfig
 from repro.errors import ProtocolError
 from repro.ht.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.resources import Request, Store
+from repro.sim.resources import Store
 from repro.sim.stats import Counter
 
 __all__ = ["PendingOp", "OutstandingTable", "RequestWatchdog"]
@@ -30,15 +30,16 @@ __all__ = ["PendingOp", "OutstandingTable", "RequestWatchdog"]
 
 @dataclass
 class PendingOp:
-    """One in-flight remote transaction."""
+    """One in-flight remote transaction.
+
+    A demand transaction holds one of the RMC's buffer slots for its
+    lifetime; prefetches bypass the scarce demand slots.
+    """
 
     request: Packet
     #: where the final response must be delivered (the issuing core's
     #: private response store); None for RMC-internal prefetches
     reply_to: Optional[Store]
-    #: the buffer-slot grant held for the transaction's lifetime
-    #: (None for prefetches, which bypass the scarce demand slots)
-    slot: Optional[Request]
     issue_ns: float
     retries: int = 0
     meta: dict = field(default_factory=dict)
@@ -95,7 +96,7 @@ class OutstandingTable:
 class RequestWatchdog:
     """Per-request timeout detection for the RMC client role.
 
-    One ``watch`` process per demand request (spawned only when
+    One ``watch`` chain per request (started only when
     ``request_timeout_ns`` > 0, so the disarmed configuration schedules
     no extra events). Tags are globally unique and never recycled, so
     "tag no longer in the table" is a safe completion test — a later
@@ -107,7 +108,7 @@ class RequestWatchdog:
         sim: Simulator,
         table: OutstandingTable,
         config: RMCConfig,
-        retransmit: Callable[[PendingOp], Generator],
+        retransmit: Callable[[PendingOp, Callable[[Any], None], Any], None],
         fail: Callable[[PendingOp, str], None],
         timeouts: Counter,
         exhausted: Counter,
@@ -124,33 +125,40 @@ class RequestWatchdog:
     def enabled(self) -> bool:
         return self.config.request_timeout_ns > 0
 
-    def watch(self, op: PendingOp) -> Generator:
+    def watch(self, op: PendingOp) -> None:
         """Watch one in-flight request until it completes or is failed.
 
         Each expiry retransmits the request whole (under its original
-        tag) after noting the retry; the wait between attempts grows by
+        tag) after noting the retry, and re-arms once the fabric admits
+        the copy; the wait between attempts grows by
         ``backoff_multiplier`` up to ``backoff_cap_ns``. With
         ``max_retries`` = 0 the watchdog retransmits forever — loss
         recovery without an error surface.
         """
+        self._arm((op, 1))
+
+    def _arm(self, watch: tuple) -> None:
+        cfg = self.config
+        self.sim.call_later(
+            cfg.backoff_ns(cfg.request_timeout_ns, watch[1]),
+            self._expired,
+            watch,
+        )
+
+    def _expired(self, watch: tuple) -> None:
+        op, attempt = watch
         cfg = self.config
         tag = op.request.tag
-        attempt = 1
-        while True:
-            yield self.sim.timeout(
-                cfg.backoff_ns(cfg.request_timeout_ns, attempt)
+        if tag not in self.table:
+            return  # completed (or already failed) while we slept
+        self.timeouts.add()
+        if cfg.max_retries and op.retries >= cfg.max_retries:
+            self.exhausted.add()
+            self._fail(
+                op,
+                f"no response from node {op.request.dst} for tag {tag} "
+                f"after {op.retries + 1} attempts",
             )
-            if tag not in self.table:
-                return  # completed (or already failed) while we slept
-            self.timeouts.add()
-            if cfg.max_retries and op.retries >= cfg.max_retries:
-                self.exhausted.add()
-                self._fail(
-                    op,
-                    f"no response from node {op.request.dst} for tag {tag} "
-                    f"after {op.retries + 1} attempts",
-                )
-                return
-            self.table.note_retry(tag)
-            attempt += 1
-            yield from self._retransmit(op)
+            return
+        self.table.note_retry(tag)
+        self._retransmit(op, self._arm, (op, attempt + 1))

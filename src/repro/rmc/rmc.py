@@ -25,12 +25,15 @@ improve a saturated client.
 Control (CTRL) packets — the OS-level reservation protocol of Fig. 4 —
 share the fabric and are surfaced on :attr:`RMC.ctrl_in` for the
 OS-lite daemon.
+
+Every role is a callback chain over ``sim.call_later`` and the callback
+waits of :mod:`repro.sim.resources` (DESIGN.md §11), not a process.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generator
+from typing import Any, Callable, Optional
 
 from repro.config import RMCConfig
 from repro.errors import ProtocolError
@@ -156,9 +159,9 @@ class RMC:
         )
 
         network.attach(node_id, self._fabric_in.offer)
-        sim.process(self._local_loop(), name=f"{self.name}.local")
-        sim.process(self._fabric_loop(), name=f"{self.name}.fabric")
-        sim.process(self._mc_resp_loop(), name=f"{self.name}.mcresp")
+        sim.call_later(0.0, self._next_local)
+        sim.call_later(0.0, self._next_fabric)
+        sim.call_later(0.0, self._next_mc_resp)
 
     # -- crossbar device interface -----------------------------------------
     def owns(self, addr: int) -> bool:
@@ -199,152 +202,185 @@ class RMC:
         return self.network.inject(self.node_id, pkt)
 
     # -- shared pipeline helper ------------------------------------------
-    def _pipe_service(self, pipe: Resource, base_ns: float) -> Generator:
-        """Hold *pipe* for a queue-length-degraded service time."""
-        waiting = pipe.queued + pipe.count  # load observed on arrival
-        grant = pipe.request()
-        yield grant
-        try:
-            mult = min(
-                1.0 + self.config.congestion_alpha * waiting,
-                self.config.congestion_cap,
-            )
-            yield self.sim.timeout(base_ns * mult)
-        finally:
-            pipe.release(grant)
+    # Every role below is a callback chain: each call it schedules (a
+    # loop's kick-off and gets, pipe grants and service delays, puts and
+    # injections, the zero-delay kick-off of a background chain) takes
+    # the ``(time, seq)`` place of the matching event of the equivalent
+    # generator process, so the fire order is the process form's.
+    def _pipe_service(
+        self,
+        pipe: Resource,
+        base_ns: float,
+        then: Callable[[Any], None],
+        arg: Any = None,
+    ) -> None:
+        """Hold *pipe* for a queue-length-degraded service time, then
+        call ``then(arg)`` right after giving the pipe back."""
+        # load observed on arrival
+        pipe.request_then(
+            self._pipe_granted,
+            (pipe, base_ns, pipe.queued + pipe.count, then, arg),
+        )
+
+    def _pipe_granted(self, job: tuple) -> None:
+        _, base_ns, waiting, _, _ = job
+        mult = min(
+            1.0 + self.config.congestion_alpha * waiting,
+            self.config.congestion_cap,
+        )
+        self.sim.call_later(base_ns * mult, self._pipe_served, job)
+
+    @staticmethod
+    def _pipe_served(job: tuple) -> None:
+        pipe, _, _, then, arg = job
+        pipe.release_one()
+        then(arg)
+
+    def _spawn(self, fn: Callable[[Any], None], arg: Any) -> None:
+        """Start a background chain at the current instant (where a
+        spawned process would take its first step)."""
+        self.sim.call_later(0.0, fn, arg)
 
     # -- client role ---------------------------------------------------------
-    def _local_loop(self) -> Generator:
+    def _next_local(self, _arg: Any = None) -> None:
+        self.ingress.get_then(self._on_local)
+
+    def _on_local(self, packet: Packet) -> None:
         cfg = self.config
-        while True:
-            packet: Packet = yield self.ingress.get()
-            if not packet.ptype.is_request:
-                raise ProtocolError(
-                    f"{self.name}: unexpected local packet {packet!r}"
-                )
-            if self.amap.is_loopback(packet.addr, self.node_id):
-                raise ProtocolError(
-                    f"{self.name}: loopback access to {packet.addr:#x} — the "
-                    "reservation protocol must never map a node's own window"
-                )
-            reply_to: Store = packet.meta["reply_to"]
+        if not packet.ptype.is_request:
+            raise ProtocolError(
+                f"{self.name}: unexpected local packet {packet!r}"
+            )
+        if self.amap.is_loopback(packet.addr, self.node_id):
+            raise ProtocolError(
+                f"{self.name}: loopback access to {packet.addr:#x} — the "
+                "reservation protocol must never map a node's own window"
+            )
 
-            # hardware prefetch: writes invalidate buffered lines; reads
-            # fully covered by a buffered line complete without the fabric
-            if self.config.prefetch_depth:
-                line_addr = packet.addr & ~(_LINE - 1)
-                if packet.ptype is PacketType.WRITE_REQ:
-                    # a burst write dirties every line it covers
-                    last_line = (packet.addr + packet.size - 1) & ~(_LINE - 1)
-                    for la in range(line_addr, last_line + _LINE, _LINE):
-                        if self._prefetch_data.pop(la, None) is not None:
-                            self.prefetch_wasted.add()
-                elif (
-                    packet.ptype is PacketType.READ_REQ
-                    and line_addr in self._prefetch_data
-                    and packet.addr + packet.size <= line_addr + _LINE
-                ):
-                    self.prefetch_hits.add()
-                    yield from self._pipe_service(
-                        self._client_pipe, cfg.per_op_ns()
-                    )
-                    data = self._prefetch_data.pop(line_addr)
-                    offset = packet.addr - line_addr
-                    response = make_read_resp(
-                        packet, data[offset : offset + packet.size]
-                    )
-                    yield reply_to.put(response)
-                    # keep the stream rolling: top the window back up
-                    # (already-covered lines are skipped, so this nets
-                    # one new fetch at the prefetch distance)
-                    self.sim.process(
-                        self._issue_prefetches(line_addr),
-                        name=f"{self.name}.pf",
-                    )
-                    continue
+        # hardware prefetch: writes invalidate buffered lines; reads
+        # fully covered by a buffered line complete without the fabric
+        if cfg.prefetch_depth:
+            line_addr = packet.addr & ~(_LINE - 1)
+            if packet.ptype is PacketType.WRITE_REQ:
+                # a burst write dirties every line it covers
+                last_line = (packet.addr + packet.size - 1) & ~(_LINE - 1)
+                for la in range(line_addr, last_line + _LINE, _LINE):
+                    if self._prefetch_data.pop(la, None) is not None:
+                        self.prefetch_wasted.add()
+            elif (
+                packet.ptype is PacketType.READ_REQ
+                and line_addr in self._prefetch_data
+                and packet.addr + packet.size <= line_addr + _LINE
+            ):
+                self.prefetch_hits.add()
+                self._pipe_service(
+                    self._client_pipe, cfg.per_op_ns(),
+                    self._prefetch_hit_decoded, packet,
+                )
+                return
 
-            if self._slots.count >= self._slots.capacity:
-                # Buffer full: decode + NACK through the client pipe. A
-                # burst is rejected whole in one event, charged per line.
-                self.client_nacks.add(packet.line_count)
-                yield from self._pipe_service(
-                    self._client_pipe, cfg.nack_ns * packet.line_count
-                )
-                yield reply_to.put(make_nack(packet, self.node_id))
-                continue
-            slot = self._slots.request()
-            yield slot  # immediate: capacity was checked above
-            self.client_requests.add(packet.line_count)
-            self.inflight.adjust(+1, self.sim.now)
-            if self.sim.audit is not None:
-                self.sim.audit.record(f"{self.name}.client", packet)
-            # a burst pays the decode/tag-match pipeline once per
-            # coalesced line, folded into a single service event
-            yield from self._pipe_service(
-                self._client_pipe, cfg.per_op_ns() * packet.line_count
+        if self._slots.count >= self._slots.capacity:
+            # Buffer full: decode + NACK through the client pipe. A
+            # burst is rejected whole in one event, charged per line.
+            self.client_nacks.add(packet.line_count)
+            self._pipe_service(
+                self._client_pipe, cfg.nack_ns * packet.line_count,
+                self._client_nack_decoded, packet,
             )
-            fabric_meta = dict(packet.meta)
-            fabric_meta.pop("reply_to", None)  # stores never cross nodes
-            if self._lease_epochs is not None:
-                epoch = self._lease_epochs.epoch_of(packet.addr)
-                if epoch is not None:
-                    fabric_meta[EPOCH_KEY] = epoch
-            to_send = clone_packet(
-                packet, issue_ns=self.sim.now, meta=fabric_meta, hops=0
-            )
-            fabric_pkt = self.bridge.to_fabric(to_send)
-            op = PendingOp(
-                request=fabric_pkt,
-                reply_to=reply_to,
-                slot=slot,
-                issue_ns=self.sim.now,
-            )
-            self.outstanding.add(op)
-            if self._watchdog.enabled:
-                self.sim.process(
-                    self._watchdog.watch(op), name=f"{self.name}.wdog"
-                )
-            yield self.network.inject(self.node_id, fabric_pkt)
-            if self.config.prefetch_depth and packet.ptype is PacketType.READ_REQ:
-                # issued in the background: prefetch competes for the
-                # pipe but never blocks demand decode (low priority)
-                self.sim.process(
-                    self._issue_prefetches(packet.addr),
-                    name=f"{self.name}.pf",
-                )
+            return
+        # granted at once: capacity was checked above
+        self._slots.request_then(self._client_slot_granted, packet)
+
+    def _prefetch_hit_decoded(self, packet: Packet) -> None:
+        line_addr = packet.addr & ~(_LINE - 1)
+        data = self._prefetch_data.pop(line_addr)
+        offset = packet.addr - line_addr
+        response = make_read_resp(packet, data[offset : offset + packet.size])
+        packet.meta["reply_to"].put_then(
+            response, self._prefetch_hit_replied, line_addr
+        )
+
+    def _prefetch_hit_replied(self, line_addr: int) -> None:
+        # keep the stream rolling: top the window back up (already-
+        # covered lines are skipped, so this nets one new fetch at the
+        # prefetch distance)
+        self._spawn(self._issue_prefetches, line_addr)
+        self._next_local()
+
+    def _client_nack_decoded(self, packet: Packet) -> None:
+        packet.meta["reply_to"].put_then(
+            make_nack(packet, self.node_id), self._next_local
+        )
+
+    def _client_slot_granted(self, packet: Packet) -> None:
+        self.client_requests.add(packet.line_count)
+        self.inflight.adjust(+1, self.sim.now)
+        if self.sim.audit is not None:
+            self.sim.audit.record(f"{self.name}.client", packet)
+        # a burst pays the decode/tag-match pipeline once per coalesced
+        # line, folded into a single service event
+        self._pipe_service(
+            self._client_pipe, self.config.per_op_ns() * packet.line_count,
+            self._client_decoded, packet,
+        )
+
+    def _client_decoded(self, packet: Packet) -> None:
+        fabric_meta = dict(packet.meta)
+        reply_to: Store = fabric_meta.pop("reply_to")  # never crosses nodes
+        if self._lease_epochs is not None:
+            epoch = self._lease_epochs.epoch_of(packet.addr)
+            if epoch is not None:
+                fabric_meta[EPOCH_KEY] = epoch
+        to_send = clone_packet(
+            packet, issue_ns=self.sim.now, meta=fabric_meta, hops=0
+        )
+        fabric_pkt = self.bridge.to_fabric(to_send)
+        op = PendingOp(
+            request=fabric_pkt, reply_to=reply_to, issue_ns=self.sim.now
+        )
+        self.outstanding.add(op)
+        if self._watchdog.enabled:
+            self._spawn(self._watchdog.watch, op)
+        self.network.inject_then(
+            self.node_id, fabric_pkt, self._client_injected, packet
+        )
+
+    def _client_injected(self, packet: Packet) -> None:
+        if self.config.prefetch_depth and packet.ptype is PacketType.READ_REQ:
+            # issued in the background: prefetch competes for the pipe
+            # but never blocks demand decode (low priority)
+            self._spawn(self._issue_prefetches, packet.addr)
+        self._next_local()
 
     # -- fabric side (both roles) ------------------------------------------
-    def _fabric_loop(self) -> Generator:
-        while True:
-            packet: Packet = yield self._fabric_in.get()
-            if self._faults is not None and not self.bridge.verify(packet):
-                yield from self._quarantine(packet)
-                continue
-            if packet.ptype is PacketType.CTRL:
-                yield self.ctrl_in.put(packet)
-            elif packet.ptype.is_request:
-                yield from self._admit_server_request(packet)
-            elif packet.ptype is PacketType.NACK:
-                self.sim.process(
-                    self._retransmit(packet), name=f"{self.name}.retx"
-                )
-            elif packet.ptype.is_response:
-                if self._lossy() and packet.tag not in self.outstanding:
-                    # the watchdog already failed (or retried and
-                    # completed) this transaction; the late copy is noise
-                    self.stale_responses.add()
-                    continue
-                if self.outstanding.get(packet.tag).is_prefetch:
-                    # prefetch fills complete on their own engine and
-                    # never block demand responses behind them
-                    self.sim.process(
-                        self._complete_prefetch(packet),
-                        name=f"{self.name}.pfdone",
-                    )
-                else:
-                    yield from self._complete_client_op(packet)
-            else:  # pragma: no cover - enum is exhaustive
-                raise ProtocolError(f"{self.name}: unroutable {packet!r}")
+    def _next_fabric(self, _arg: Any = None) -> None:
+        self._fabric_in.get_then(self._on_fabric)
+
+    def _on_fabric(self, packet: Packet) -> None:
+        if self._faults is not None and not self.bridge.verify(packet):
+            self._quarantine(packet)
+        elif packet.ptype is PacketType.CTRL:
+            self.ctrl_in.put_then(packet, self._next_fabric)
+        elif packet.ptype.is_request:
+            self._admit_server_request(packet)
+        elif packet.ptype is PacketType.NACK:
+            self._spawn(self._retransmit, packet)
+            self._next_fabric()
+        elif packet.ptype.is_response:
+            if self._lossy() and packet.tag not in self.outstanding:
+                # the watchdog already failed (or retried and completed)
+                # this transaction; the late copy is noise
+                self.stale_responses.add()
+                self._next_fabric()
+            elif self.outstanding.get(packet.tag).is_prefetch:
+                # prefetch fills complete on their own engine and never
+                # block demand responses behind them
+                self._spawn(self._complete_prefetch, packet)
+                self._next_fabric()
+            else:
+                self._complete_client_op(packet)
+        else:  # pragma: no cover - enum is exhaustive
+            raise ProtocolError(f"{self.name}: unroutable {packet!r}")
 
     def _lossy(self) -> bool:
         """True when packets can legitimately vanish or duplicate.
@@ -355,7 +391,7 @@ class RMC:
         """
         return self._faults is not None or self._watchdog.enabled
 
-    def _quarantine(self, packet: Packet) -> Generator:
+    def _quarantine(self, packet: Packet) -> None:
         """Handle a packet that failed the decapsulation CRC check.
 
         A corrupt request is NACKed back whole, exactly like a full
@@ -365,16 +401,28 @@ class RMC:
         recovers the transaction end to end.
         """
         if packet.ptype.is_request:
-            self.server_nacks.add(packet.line_count)
-            yield from self._pipe_service(
-                self._server_pipe, self.config.nack_ns * packet.line_count
-            )
-            yield self.network.inject(
-                self.node_id, make_nack(packet, self.node_id)
-            )
+            self._server_nack(packet, None)
+        else:
+            self._next_fabric()
 
-    def _admit_server_request(self, packet: Packet) -> Generator:
-        cfg = self.config
+    def _server_nack(self, packet: Packet, reason: "str | None") -> None:
+        """Reject *packet* whole: one decode event through the server
+        pipe, charged per line, then the NACK goes back."""
+        self.server_nacks.add(packet.line_count)
+        self._pipe_service(
+            self._server_pipe, self.config.nack_ns * packet.line_count,
+            self._server_nack_decoded, (packet, reason),
+        )
+
+    def _server_nack_decoded(self, rejected: tuple) -> None:
+        packet, reason = rejected
+        self.network.inject_then(
+            self.node_id,
+            make_nack(packet, self.node_id, reason=reason),
+            self._next_fabric,
+        )
+
+    def _admit_server_request(self, packet: Packet) -> None:
         if self._fence is not None and not self._fence.fence_admit(
             self.amap.strip_node(packet.addr),
             packet.size,
@@ -385,81 +433,80 @@ class RMC:
             # lease was issued. Refuse it before it can touch memory;
             # the structured reason tells the client not to retry.
             self.fenced.add(packet.line_count)
-            self.server_nacks.add(packet.line_count)
-            yield from self._pipe_service(
-                self._server_pipe, cfg.nack_ns * packet.line_count
-            )
-            yield self.network.inject(
-                self.node_id, make_nack(packet, self.node_id, reason="fenced")
-            )
-            return
-        if self._server_slots.count >= self._server_slots.capacity:
-            # whole-burst rejection: one decode event, per-line charge
-            self.server_nacks.add(packet.line_count)
-            yield from self._pipe_service(
-                self._server_pipe, cfg.nack_ns * packet.line_count
-            )
-            yield self.network.inject(
-                self.node_id, make_nack(packet, self.node_id)
-            )
-            return
-        slot = self._server_slots.request()
-        yield slot
-        self.server_requests.add(packet.line_count)
-        self.sim.process(
-            self._serve_request(packet, slot), name=f"{self.name}.serve"
-        )
+            self._server_nack(packet, "fenced")
+        elif self._server_slots.count >= self._server_slots.capacity:
+            self._server_nack(packet, None)
+        else:
+            self._server_slots.request_then(self._server_slot_granted, packet)
 
-    def _serve_request(self, packet: Packet, slot) -> Generator:
+    def _server_slot_granted(self, packet: Packet) -> None:
+        self.server_requests.add(packet.line_count)
+        self._spawn(self._serve_request, packet)
+        self._next_fabric()
+
+    def _serve_request(self, packet: Packet) -> None:
         if self.sim.audit is not None:
             self.sim.audit.record(f"{self.name}.server", packet)
-        yield from self._pipe_service(
+        self._pipe_service(
             self._server_pipe,
             self.config.server_per_op_ns() * packet.line_count,
+            self._serve_decoded, packet,
         )
+
+    def _serve_decoded(self, packet: Packet) -> None:
+        # the server slot stays held until the response leaves
+        # (_mc_resp_encoded); nothing waits on the crossbar traversal
         local = self.bridge.from_fabric(packet)
         local.meta["reply_to"] = self._mc_resp
-        local.meta["server_slot"] = slot
-        yield self.crossbar.send(local)
+        self.crossbar.post(local)
 
-    def _mc_resp_loop(self) -> Generator:
-        while True:
-            response: Packet = yield self._mc_resp.get()
-            slot = response.meta.pop("server_slot")
-            response.meta.pop("reply_to", None)
-            if self.sim.audit is not None:
-                self.sim.audit.record(f"{self.name}.server", response)
-            yield from self._pipe_service(
-                self._server_pipe,
-                self.config.server_per_op_ns() * response.line_count,
-            )
-            self._server_slots.release(slot)
-            yield self.network.inject(self.node_id, response)
+    def _next_mc_resp(self, _arg: Any = None) -> None:
+        self._mc_resp.get_then(self._on_mc_resp)
 
-    def _complete_client_op(self, packet: Packet) -> Generator:
+    def _on_mc_resp(self, response: Packet) -> None:
+        response.meta.pop("reply_to", None)
+        if self.sim.audit is not None:
+            self.sim.audit.record(f"{self.name}.server", response)
+        self._pipe_service(
+            self._server_pipe,
+            self.config.server_per_op_ns() * response.line_count,
+            self._mc_resp_encoded, response,
+        )
+
+    def _mc_resp_encoded(self, response: Packet) -> None:
+        self._server_slots.release_one()
+        self.network.inject_then(self.node_id, response, self._next_mc_resp)
+
+    def _complete_client_op(self, packet: Packet) -> None:
         if self.sim.audit is not None:
             self.sim.audit.record(f"{self.name}.client", packet)
-        yield from self._pipe_service(
-            self._client_pipe, self.config.per_op_ns() * packet.line_count
+        self._pipe_service(
+            self._client_pipe, self.config.per_op_ns() * packet.line_count,
+            self._client_completed, packet,
         )
+
+    def _client_completed(self, packet: Packet) -> None:
         if self._lossy() and packet.tag not in self.outstanding:
             self.stale_responses.add()
-            return  # failed by the watchdog while in the pipe
+            self._next_fabric()  # failed by the watchdog while in the pipe
+            return
         op = self.outstanding.complete(packet.tag)
-        assert op.slot is not None and op.reply_to is not None
-        self._slots.release(op.slot)
+        assert op.reply_to is not None
+        self._slots.release_one()
         self.inflight.adjust(-1, self.sim.now)
         self.remote_latency_ns.observe(self.sim.now - op.issue_ns)
-        yield op.reply_to.put(packet)
+        op.reply_to.put_then(packet, self._next_fabric)
 
-    def _complete_prefetch(self, packet: Packet) -> Generator:
+    def _complete_prefetch(self, packet: Packet) -> None:
         # a fill is just a line-buffer write: it must never queue
         # behind prefetch *issues* (or it loses the race against the
         # demand stream by one pipe service, forever). A burst fill
         # writes all its lines in this one event — the scalar twin's N
-        # fill processes each pay the same latency in parallel, so the
-        # lines land at the same instant either way.
-        yield self.sim.timeout(_FILL_NS)
+        # fills each pay the same latency in parallel, so the lines
+        # land at the same instant either way.
+        self.sim.call_later(_FILL_NS, self._fill_prefetch, packet)
+
+    def _fill_prefetch(self, packet: Packet) -> None:
         if self._lossy() and packet.tag not in self.outstanding:
             self.stale_responses.add()
             return
@@ -477,7 +524,7 @@ class RMC:
             self._prefetch_data.popitem(last=False)
             self.prefetch_wasted.add()
 
-    def _issue_prefetches(self, demand_addr: int) -> Generator:
+    def _issue_prefetches(self, demand_addr: int) -> None:
         """Fetch the next ``prefetch_depth`` lines after a demand read.
 
         Prefetches bypass the scarce demand slots (they have their own
@@ -506,20 +553,35 @@ class RMC:
             ):
                 continue
             # reserve before the (slow) pipe service so concurrent
-            # issuing processes never duplicate a fetch
+            # issuing chains never duplicate a fetch
             self._prefetch_inflight.add(pf_addr)
             candidates.append(pf_addr)
-        for start, count in self._pf_runs(candidates):
-            yield from self._pipe_service(
-                self._prefetch_pipe, self.config.per_op_ns() * count
-            )
-            pf_request = make_burst_read_req(
-                self.node_id, owner, start, _LINE, count, self.tags.next()
-            )
-            yield from self._launch_prefetch(pf_request, count)
+        self._next_prefetch_run((owner, self._pf_runs(candidates)))
 
-    def _launch_prefetch(self, pf_request: Packet, count: int) -> Generator:
-        """Register *pf_request* as an outstanding prefetch and send it."""
+    def _next_prefetch_run(self, issue: tuple) -> None:
+        run = next(issue[1], None)
+        if run is not None:
+            self._pipe_service(
+                self._prefetch_pipe, self.config.per_op_ns() * run[1],
+                self._prefetch_run_decoded, (issue, run),
+            )
+
+    def _prefetch_run_decoded(self, job: tuple) -> None:
+        issue, (start, count) = job
+        pf_request = make_burst_read_req(
+            self.node_id, issue[0], start, _LINE, count, self.tags.next()
+        )
+        self._launch_prefetch(pf_request, count, self._next_prefetch_run, issue)
+
+    def _launch_prefetch(
+        self,
+        pf_request: Packet,
+        count: int,
+        then: Callable[[Any], None],
+        arg: Any,
+    ) -> None:
+        """Register *pf_request* as an outstanding prefetch and send it;
+        ``then(arg)`` runs once the fabric admits it."""
         pf_request.issue_ns = self.sim.now
         pf_request.meta["prefetch"] = True
         if self._lease_epochs is not None:
@@ -530,16 +592,13 @@ class RMC:
         pf_op = PendingOp(
             request=pf_request,
             reply_to=None,
-            slot=None,
             issue_ns=self.sim.now,
             meta={"prefetch": True},
         )
         self.outstanding.add(pf_op)
         if self._watchdog.enabled:
-            self.sim.process(
-                self._watchdog.watch(pf_op), name=f"{self.name}.wdog"
-            )
-        yield self.network.inject(self.node_id, pf_request)
+            self._spawn(self._watchdog.watch, pf_op)
+        self.network.inject_then(self.node_id, pf_request, then, arg)
 
     def _pf_runs(self, lines: list[int]):
         """Split ascending line addresses into maximal consecutive runs
@@ -557,7 +616,7 @@ class RMC:
             start = prev = la
         yield start, (prev - start) // _LINE + 1
 
-    def _retransmit(self, nack: Packet) -> Generator:
+    def _retransmit(self, nack: Packet) -> None:
         """A remote server NACKed one of our requests: back off and resend.
 
         With ``max_retries`` set the NACK storm is bounded: once a
@@ -595,24 +654,40 @@ class RMC:
                 f"{retries} times; retries exhausted",
             )
             return
-        yield self.sim.timeout(cfg.backoff_ns(cfg.retry_backoff_ns, retries))
-        if nack.tag not in self.outstanding:
+        self.sim.call_later(
+            cfg.backoff_ns(cfg.retry_backoff_ns, retries),
+            self._backed_off,
+            nack.tag,
+        )
+
+    def _backed_off(self, tag: int) -> None:
+        if tag not in self.outstanding:
             self.stale_responses.add()
             return  # completed or failed while backing off
-        yield from self._resend(self.outstanding.get(nack.tag))
+        self._resend(self.outstanding.get(tag))
 
-    def _resend(self, op: PendingOp) -> Generator:
-        """Re-send *op*'s request whole, under its original tag."""
+    def _resend(
+        self,
+        op: PendingOp,
+        then: Optional[Callable[[Any], None]] = None,
+        arg: Any = None,
+    ) -> None:
+        """Re-send *op*'s request whole, under its original tag;
+        ``then(arg)``, if given, runs once the fabric admits it."""
         if self._faults is not None:
             # the retransmission re-reads clean state: it must not
             # inherit an in-flight corruption mark from the last try
             self._faults.scrub(op.request)
         self.retransmissions.add(op.request.line_count)
-        yield from self._pipe_service(
+        self._pipe_service(
             self._client_pipe,
             self.config.per_op_ns() * op.request.line_count,
+            self._resend_decoded, (op, then, arg),
         )
-        yield self.network.inject(self.node_id, op.request)
+
+    def _resend_decoded(self, job: tuple) -> None:
+        op, then, arg = job
+        self.network.inject_then(self.node_id, op.request, then, arg)
 
     def _fail_op(
         self, op: PendingOp, message: str, reason: "str | None" = None
@@ -633,8 +708,8 @@ class RMC:
             for i in range(op.request.line_count):
                 self._prefetch_inflight.discard(base + i * _LINE)
             return
-        assert op.slot is not None and op.reply_to is not None
-        self._slots.release(op.slot)
+        assert op.reply_to is not None
+        self._slots.release_one()
         self.inflight.adjust(-1, self.sim.now)
         op.reply_to.offer(
             make_fault(

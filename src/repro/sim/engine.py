@@ -10,11 +10,20 @@ functions ("processes") that ``yield`` waitables:
 * :class:`Process` — resume when a child process terminates,
 * :class:`AnyOf` / :class:`AllOf` — composite conditions.
 
+Components whose waits nothing else observes skip the event object:
+:meth:`Simulator.call_later` schedules a bare ``fn(arg)`` call, the
+``(t, seq, fn)`` entry of a classic event list. It draws its sequence
+number exactly where a timeout or ``succeed`` would, so a callback
+chain fires in the same order as the process it replaces.
+
 Determinism: ties in time are broken by a monotonically increasing
 sequence number, so two runs with the same seeds replay identically.
 Time is measured in nanoseconds (see :mod:`repro.units`).
 
-The event list has two lanes. Events due at the current instant go to
+Every queue entry is ``(time, seq, fn, arg)``: a scheduled call fires
+as ``fn(arg)``; an event's entry has ``fn = None`` and the event as
+``arg``, and fires the event's callbacks. The event list has two
+lanes. Entries due at the current instant go to
 a FIFO *ready* deque (no heap sift, and arrival order is seq order);
 later events go to a binary heap. When the clock advances, every heap
 entry tied at the new time is drained into the ready lane in one pass.
@@ -190,9 +199,9 @@ class Timeout(Event):
         # ``when == now`` also catches positive delays that underflow to
         # the current instant (now + delay == now in float arithmetic)
         if when == now:
-            sim._ready.append((when, seq, self))
+            sim._ready.append((when, seq, None, self))
         else:
-            heappush(sim._heap, (when, seq, self))
+            heappush(sim._heap, (when, seq, None, self))
 
 
 class Interrupt(Exception):
@@ -390,8 +399,8 @@ class Simulator:
         sim.run()
 
     The event list is a ready deque for the current instant plus a heap
-    of later ``(time, seq, event)`` entries (see the module docstring);
-    both are engine-private.
+    of later ``(time, seq, fn, arg)`` entries (see the module
+    docstring); both are engine-private.
     """
 
     __slots__ = (
@@ -407,9 +416,9 @@ class Simulator:
     def __init__(self, *, debug: Optional[bool] = None) -> None:
         self._now: float = 0.0
         #: entries due later than ``_now``, ordered by ``(time, seq)``
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Any, Any]] = []
         #: entries due at ``_now``, in seq order
-        self._ready: deque[tuple[float, int, Event]] = deque()
+        self._ready: deque[tuple[float, int, Any, Any]] = deque()
         self._seq: int = 0
         self._running = False
         if debug is None:
@@ -457,6 +466,29 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling ------------------------------------------------------------
+    def call_later(
+        self, delay: float, fn: Callable[[Any], Any], arg: Any = None
+    ) -> None:
+        """Call ``fn(arg)`` *delay* ns from now, with no event object.
+
+        For waits that nothing but the caller observes: the call takes
+        the ``(time, seq)`` place a timeout created (or an event
+        succeeded) at this point would take, and nothing can wait on it
+        or cancel it.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative call_later delay {delay!r}")
+        if self.debug:
+            check_schedule_delay(self._now, delay)
+        now = self._now
+        when = now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        if when == now:
+            self._ready.append((when, seq, fn, arg))
+        else:
+            heappush(self._heap, (when, seq, fn, arg))
+
     def _schedule(self, event: Event, delay: float) -> None:
         if self.debug:
             check_schedule_delay(self._now, delay)
@@ -470,9 +502,9 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         if when == now:
-            self._ready.append((when, seq, event))
+            self._ready.append((when, seq, None, event))
         else:
-            heappush(self._heap, (when, seq, event))
+            heappush(self._heap, (when, seq, None, event))
 
     # -- execution ---------------------------------------------------------
     def peek(self) -> float:
@@ -484,29 +516,31 @@ class Simulator:
         return heap[0][0] if heap else _INF
 
     def step(self) -> None:
-        """Process exactly one event."""
+        """Process exactly one entry: fire an event or make a call."""
         ready = self._ready
         if ready:
-            when, _, event = ready.popleft()
+            when, _, fn, arg = ready.popleft()
             if self.debug:
                 check_ready_entry(self._now, when)
-            event._fire()
-            return
-        heap = self._heap
-        if not heap:
-            raise SimulationError(
-                "no events scheduled: step() on an empty event heap"
-            )
-        when, _, event = heappop(heap)
-        if self.debug:
-            check_clock_monotonic(self._now, when)
-        self._now = when
-        # same-timestamp draining: move every entry tied at `when` into
-        # the ready lane in one pass (heap pops of equal times come out
-        # in seq order, so the lane stays sorted)
-        while heap and heap[0][0] == when:
-            ready.append(heappop(heap))
-        event._fire()
+        else:
+            heap = self._heap
+            if not heap:
+                raise SimulationError(
+                    "no events scheduled: step() on an empty event heap"
+                )
+            when, _, fn, arg = heappop(heap)
+            if self.debug:
+                check_clock_monotonic(self._now, when)
+            self._now = when
+            # same-timestamp draining: move every entry tied at `when`
+            # into the ready lane in one pass (heap pops of equal times
+            # come out in seq order, so the lane stays sorted)
+            while heap and heap[0][0] == when:
+                ready.append(heappop(heap))
+        if fn is None:
+            arg._fire()
+        else:
+            fn(arg)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock reaches *until*.
@@ -539,23 +573,26 @@ class Simulator:
                 drain = ready.append
                 while True:
                     if ready:
-                        event = popleft()[2]
+                        _, _, fn, arg = popleft()
                     elif heap:
                         # the until-horizon only needs checking when the
                         # clock advances: ready entries fire at _now,
                         # which never exceeds `until`
                         if until is not None and heap[0][0] > until:
                             break
-                        when, _, event = heappop(heap)
+                        when, _, fn, arg = heappop(heap)
                         self._now = when
                         while heap and heap[0][0] == when:
                             drain(heappop(heap))
                     else:
                         break
-                    callbacks = event.callbacks
-                    event.callbacks = None
+                    if fn is not None:
+                        fn(arg)
+                        continue
+                    callbacks = arg.callbacks
+                    arg.callbacks = None
                     for cb in callbacks:
-                        cb(event)
+                        cb(arg)
             if until is not None:
                 self._now = until
         finally:

@@ -21,12 +21,21 @@ Usage pattern inside a process::
     yield store.put(item)        # blocks when the store is full
     store.offer(item)            # never waits: no put event at all
     item = yield store.get()     # blocks when the store is empty
+
+Callback chains use the event-free forms of the same waits:
+``resource.request_then(fn, arg)`` / ``resource.release_one()``,
+``store.get_then(fn)`` and ``store.put_then(item, fn, arg)``. Each
+schedules ``sim.call_later(0.0, fn, value)`` exactly where the event
+form calls ``succeed`` (at grant, hand-over or acceptance). A callback
+that has to wait is queued beside the waiting events, in one FIFO, so a
+mixed queue keeps its order and a chain fires where the process it
+replaces would have resumed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator
@@ -55,11 +64,27 @@ class Request(Event):
         self._state = _QUEUED
 
 
+class _Waiter:
+    """A queued callback standing in for the event a process would wait
+    on: its owner calls :meth:`succeed` where it would succeed that
+    event, and the callback is scheduled there as ``fn(arg)``."""
+
+    __slots__ = ("sim", "fn", "arg", "_queued_at", "_state")
+
+    def __init__(self, sim: Simulator, fn: Callable[[Any], Any], arg: Any) -> None:
+        self.sim = sim
+        self.fn = fn
+        self.arg = arg
+
+    def succeed(self, _value: Any = None) -> None:
+        self.sim.call_later(0.0, self.fn, self.arg)
+
+
 class Resource:
     """A counted, FIFO-fair resource.
 
     ``capacity`` users may hold the resource simultaneously; further
-    requesters queue in arrival order.
+    requesters, events and callbacks alike, queue in arrival order.
     """
 
     __slots__ = (
@@ -79,7 +104,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._count = 0
-        self._queue: Deque[Request] = deque()
+        self._queue: Deque[Request | _Waiter] = deque()
         # instrumentation
         self.total_requests = 0
         self.total_wait_time = 0.0
@@ -106,16 +131,25 @@ class Resource:
             self._queue.append(req)
         return req
 
+    def request_then(self, fn: Callable[[Any], Any], arg: Any = None) -> None:
+        """Callback form of :meth:`request`: ``fn(arg)`` runs at the
+        grant; give the hold back with :meth:`release_one`."""
+        self.total_requests += 1
+        if self._count < self.capacity:
+            self._count += 1
+            self.sim.call_later(0.0, fn, arg)
+        else:
+            waiter = _Waiter(self.sim, fn, arg)
+            waiter._queued_at = self.sim.now
+            self._queue.append(waiter)
+
     def release(self, request: Request) -> None:
         """Give the resource back; grants the head of the queue, if any."""
         state = request._state if request.resource is self else _DONE
         if state == _HELD:
             request._state = _DONE
             self._count -= 1
-            if self._queue and self._count < self.capacity:
-                head = self._queue.popleft()
-                self.total_wait_time += self.sim.now - head._queued_at
-                self._grant(head)
+            self._grant_next()
         elif state == _QUEUED:
             # Cancelled before it was granted.
             self._queue.remove(request)
@@ -123,11 +157,24 @@ class Resource:
         else:
             raise SimulationError("release() of a request that never held the resource")
 
+    def release_one(self) -> None:
+        """Give back a hold granted through :meth:`request_then`."""
+        if self._count == 0:
+            raise SimulationError("release_one() of a resource nobody holds")
+        self._count -= 1
+        self._grant_next()
+
     # -- internals ----------------------------------------------------------
-    def _grant(self, req: Request) -> None:
+    def _grant(self, req: Request | _Waiter) -> None:
         self._count += 1
         req._state = _HELD
         req.succeed(req)
+
+    def _grant_next(self) -> None:
+        if self._queue and self._count < self.capacity:
+            head = self._queue.popleft()
+            self.total_wait_time += self.sim.now - head._queued_at
+            self._grant(head)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -144,7 +191,8 @@ class Store:
     put for callers that never wait on acceptance: it queues behind
     earlier putters exactly like ``put`` but schedules nothing, now or
     when the item is later admitted. ``get`` returns an event whose
-    value is the retrieved item.
+    value is the retrieved item. ``get_then`` and ``put_then`` are the
+    callback forms of ``get`` and ``put``.
     """
 
     __slots__ = (
@@ -171,10 +219,12 @@ class Store:
         self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        #: blocked putters in arrival order: ``(item, put event)``, the
-        #: event being ``None`` for an offer
-        self._putters: Deque[tuple[Any, Optional[Event]]] = deque()
+        #: blocked getters in arrival order: get events, and the
+        #: callbacks of ``get_then``
+        self._getters: Deque[Event | Callable[[Any], Any]] = deque()
+        #: blocked putters in arrival order: ``(item, put event or
+        #: waiter)``, ``None`` for an offer
+        self._putters: Deque[tuple[Any, Optional[Event | _Waiter]]] = deque()
         # instrumentation
         self.total_puts = 0
         self.total_gets = 0
@@ -191,6 +241,18 @@ class Store:
         evt = Event(self.sim)
         self._put(item, evt)
         return evt
+
+    def put_then(
+        self, item: Any, fn: Callable[[Any], Any], arg: Any = None
+    ) -> None:
+        """Callback form of :meth:`put`: ``fn(arg)`` runs once *item* is
+        accepted."""
+        if self.capacity is None or len(self._items) < self.capacity:
+            self.total_puts += 1
+            self._accept(item, None)
+            self.sim.call_later(0.0, fn, arg)
+        else:
+            self._put(item, _Waiter(self.sim, fn, arg))
 
     def offer(self, item: Any) -> None:
         """Put *item* without a put event (nobody waits on acceptance).
@@ -213,26 +275,42 @@ class Store:
             self._getters.append(evt)
         return evt
 
+    def get_then(self, fn: Callable[[Any], Any]) -> None:
+        """Callback form of :meth:`get`: ``fn(item)`` runs once an item
+        is handed over."""
+        self.total_gets += 1
+        if self._items:
+            self.sim.call_later(0.0, fn, self._items.popleft())
+            if self._putters:
+                self._admit_waiting_putter()
+        else:
+            self._getters.append(fn)
+
     def try_get(self) -> Any:
         """Non-blocking get: return an item or ``None`` if empty."""
         if not self._items:
             return None
+        self.total_gets += 1
         item = self._items.popleft()
         self._admit_waiting_putter()
         return item
 
     # -- internals ----------------------------------------------------------
-    def _put(self, item: Any, put_evt: Optional[Event]) -> None:
+    def _put(self, item: Any, put_evt: Optional[Event | _Waiter]) -> None:
         self.total_puts += 1
         if self.capacity is None or len(self._items) < self.capacity:
             self._accept(item, put_evt)
         else:
             self._putters.append((item, put_evt))
 
-    def _accept(self, item: Any, put_evt: Optional[Event]) -> None:
+    def _accept(self, item: Any, put_evt: Optional[Event | _Waiter]) -> None:
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
-            self._getters.popleft().succeed(item)
+            getter = self._getters.popleft()
+            if type(getter) is Event:
+                getter.succeed(item)
+            else:
+                self.sim.call_later(0.0, getter, item)
         else:
             self._items.append(item)
             self.max_level = max(self.max_level, len(self._items))

@@ -17,9 +17,13 @@ class Echo(HTDevice):
         self.service_ns = service_ns
         self.log = []
 
-    def handle(self, packet):
-        yield self.sim.timeout(self.service_ns)
+    def handle(self, packet, done):
+        self.sim.call_later(self.service_ns, self._served, (packet, done))
+
+    def _served(self, job):
+        packet, done = job
         self.log.append((self.sim.now, packet.tag))
+        done(None)
 
 
 def test_serial_dispatch_by_default(sim):

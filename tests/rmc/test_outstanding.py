@@ -8,16 +8,13 @@ from repro.errors import ProtocolError
 from repro.ht.packet import make_read_req
 from repro.rmc.outstanding import OutstandingTable, PendingOp
 from repro.sim.engine import Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 
 
 def _op(sim, tag):
-    res = Resource(sim, 8)
-    slot = res.request()
     return PendingOp(
         request=make_read_req(1, 2, 0x100, 64, tag),
         reply_to=Store(sim),
-        slot=slot,
         issue_ns=sim.now,
     )
 

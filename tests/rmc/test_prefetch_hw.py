@@ -252,14 +252,14 @@ def test_scalar_twin_sends_one_packet_per_prefetched_line(monkeypatch):
     app, ptr = _setup(cluster)
     rmc = cluster.node(1).rmc
     sent = []
-    inject = rmc.network.inject
+    inject_then = rmc.network.inject_then
 
-    def spy(src, packet):
+    def spy(src, packet, *then):
         if src == rmc.node_id and packet.meta.get("prefetch"):
             sent.append(packet.line_count)
-        return inject(src, packet)
+        return inject_then(src, packet, *then)
 
-    monkeypatch.setattr(rmc.network, "inject", spy)
+    monkeypatch.setattr(rmc.network, "inject_then", spy)
     app.read(ptr, CACHE_LINE, cached=False)
     app.read(ptr + CACHE_LINE, CACHE_LINE, cached=False)
     cluster.sim.run()

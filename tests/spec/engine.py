@@ -1,8 +1,9 @@
 """Plain binary-heap twin of the simulation engine's event list.
 
 :class:`HeapSimulator` is the classic event list every exemplar engine
-uses: one ``heappush`` per schedule, one ``heappop`` per fire, ties
-broken by the monotone sequence number. The production
+uses: one ``heappush`` per schedule (an event or a
+:meth:`~repro.sim.engine.Simulator.call_later` call), one ``heappop``
+per fire, ties broken by the monotone sequence number. The production
 :class:`~repro.sim.engine.Simulator` adds a ready lane for events due
 at the current instant and drains same-timestamp heap ties into it; it
 must fire events in exactly this twin's ``(time, seq)`` order.
@@ -11,7 +12,7 @@ must fire events in exactly this twin's ``(time, seq)`` order.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator, Timeout
@@ -41,6 +42,17 @@ class HeapSimulator(Simulator):
         self._schedule(timeout, delay)
         return timeout
 
+    def call_later(
+        self, delay: float, fn: Callable[[Any], Any], arg: Any = None
+    ) -> None:
+        if delay < 0:
+            raise SimulationError(f"negative call_later delay {delay!r}")
+        if self.debug:
+            check_schedule_delay(self._now, delay)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (self._now + delay, seq, fn, arg))
+
     def _schedule(self, event: Event, delay: float) -> None:
         if self.debug:
             check_schedule_delay(self._now, delay)
@@ -51,7 +63,7 @@ class HeapSimulator(Simulator):
         event._scheduled = True
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._heap, (self._now + delay, seq, event))
+        heappush(self._heap, (self._now + delay, seq, None, event))
 
     def step(self) -> None:
         heap = self._heap
@@ -59,11 +71,14 @@ class HeapSimulator(Simulator):
             raise SimulationError(
                 "no events scheduled: step() on an empty event heap"
             )
-        when, _, event = heappop(heap)
+        when, _, fn, arg = heappop(heap)
         if self.debug:
             check_clock_monotonic(self._now, when)
         self._now = when
-        event._fire()
+        if fn is None:
+            arg._fire()
+        else:
+            fn(arg)
 
     def run(self, until: Optional[float] = None) -> float:
         if self._running:
@@ -89,8 +104,8 @@ class HeapSimulator(Simulator):
 def install_heap_engine(cluster):
     """Rebind a built *cluster*'s simulator to :class:`HeapSimulator`.
 
-    Building a cluster already queues process kick-offs in the ready
-    lane; they move into the heap, which keeps their ``(time, seq)``
+    Building a cluster already queues process kick-offs and scheduled
+    calls in the ready lane; they move into the heap, which keeps their ``(time, seq)``
     order because they are due at the current instant and every heap
     entry is due later.
     """

@@ -88,6 +88,30 @@ def test_sim002_allows_sim_timeout(tmp_path):
     assert "SIM002" not in _codes(tmp_path, {"pkg/ok.py": src})
 
 
+def test_sim002_allows_call_later_in_a_component(tmp_path):
+    # the second sanctioned timed-cost primitive: a callback chain's
+    # delay, with no event object
+    src = (
+        "def serve(sim, packet, done):\n"
+        "    sim.call_later(5.0, done, packet)\n"
+        "    sim.call_later(0.0, done)\n"
+    )
+    assert "SIM002" not in _codes(tmp_path, {"mem/controller.py": src})
+
+
+def test_sim002_flags_hand_built_call_entry_outside_the_engine(tmp_path):
+    # a (when, seq, fn, arg) entry pushed by hand skips call_later's
+    # validation and seq draw
+    src = (
+        "from heapq import heappush\n"
+        "def later(sim, heap, when, seq, fn, arg):\n"
+        "    heappush(heap, (when, seq, fn, arg))\n"
+    )
+    assert _codes(tmp_path, {"rmc/rmc.py": src}) == ["SIM002"]
+    # the engine's spec twin owns its heap entries, call entries included
+    assert "SIM002" not in _codes(tmp_path, {"tests/spec/engine.py": src})
+
+
 def test_sim002_allows_heapq_in_the_queue_module(tmp_path):
     # tests/spec/engine.py is the engine's spec: it owns heap operations
     # and schedules through _schedule like the engine does

@@ -134,12 +134,16 @@ class SIM001EngineInternals(Rule):
 
 
 class SIM002TimedCostViaTimeout(Rule):
-    """All timed cost flows through ``Simulator.timeout`` / the charge
-    helpers; no component schedules events behind the engine's API.
+    """All timed cost flows through the engine's two sanctioned
+    timed-cost primitives, ``Simulator.timeout`` (an event a process can
+    wait on) and ``Simulator.call_later`` (a bare ``fn(arg)`` call for a
+    callback chain), or the charge helpers built on them; no component
+    schedules events behind the engine's API, whether through
+    ``_schedule``, a hand-built ``Timeout`` or its own ``heapq`` entries.
     """
 
     code = "SIM002"
-    title = "timed cost scheduled outside Simulator.timeout/charge helpers"
+    title = "timed cost scheduled outside Simulator.timeout/call_later"
 
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
         if ctx.in_module(*_ENGINE):
@@ -153,21 +157,27 @@ class SIM002TimedCostViaTimeout(Rule):
                     node,
                     self.code,
                     "direct call to Simulator._schedule — charge time via "
-                    "sim.timeout(...) so cost is counted exactly once",
+                    "sim.timeout(...) or sim.call_later(...) so cost is "
+                    "counted exactly once",
                 )
             elif name == "Timeout" and isinstance(node.func, ast.Name):
                 yield ctx.violation(
                     node,
                     self.code,
-                    "direct Timeout(...) construction — use sim.timeout(...)",
+                    "direct Timeout(...) construction — use sim.timeout(...) "
+                    "or sim.call_later(...)",
                 )
             elif name in ("heappush", "heappop", "heapify"):
                 dotted = _dotted(node.func)
-                if dotted is None or dotted.startswith("heapq."):
+                # heapq.heappush(...) and a bare heappush(...) from
+                # ``from heapq import heappush`` alike
+                if dotted in (None, name) or dotted.startswith("heapq."):
                     yield ctx.violation(
                         node,
                         self.code,
-                        f"{name}() on an event heap outside the engine",
+                        f"{name}() on an event heap outside the engine — "
+                        "schedule through sim.timeout(...) or "
+                        "sim.call_later(...)",
                     )
 
 
