@@ -22,8 +22,9 @@ Usage::
 ``--update-baseline`` promotes this run's rates to the committed
 baseline for every suite, or for just the named one, and rewrites the
 suite's file (do this when a deliberate change moves the numbers;
-commit the resulting JSON). A suite file is also written when it has
-no baseline or seed yet, to record the first one. Each
+commit the resulting JSON). A suite file is also written when one of
+its benches has no baseline or seed yet, to record the first one
+beside the others' unchanged baselines. Each
 file also keeps ``seed_ops_per_sec`` — the rates of the original
 per-line scalar implementation — so the speedup of the batched data
 path stays visible (``speedup_vs_seed``). Only the columnar tier still
@@ -152,6 +153,28 @@ def bench_btree_search() -> float:
             search(q)
 
     return _rate(run, len(queries))
+
+
+def bench_cold_span_evict() -> float:
+    """fig11's cache pattern: 8 KiB spans (128 lines) walking a
+    footprint 4x the 2 MiB line cache, every third span a write, so
+    every span misses cold and evicts, often dirty lines."""
+    lat = LatencyModel.from_config(ClusterConfig())
+    span = 8 * 1024
+    footprint = mib(8)
+    acc = RemoteMemAccessor(lat, BackingStore(footprint))
+    payload = np.zeros(span, dtype=np.uint8)
+    addrs = list(range(0, footprint, span)) * 2
+
+    def run():
+        view, write = acc.view_array, acc.write_array
+        for k, a in enumerate(addrs):
+            if k % 3 == 2:
+                write(a, payload)
+            else:
+                view(a, span, np.uint8)
+
+    return _rate(run, len(addrs))
 
 
 def bench_backing_read_8B() -> float:
@@ -448,6 +471,7 @@ SUITES: dict = {
             "fast_tier_read_u64": bench_fast_tier_read_u64,
             "fast_tier_read_4K": bench_fast_tier_read_4K,
             "btree_search": bench_btree_search,
+            "cold_span_evict": bench_cold_span_evict,
             "backing_read_8B": bench_backing_read_8B,
         },
         {},
@@ -545,10 +569,16 @@ def run_suite(suite: str, update: bool) -> list[tuple[str, float, float]]:
                     (f"{k} (vs {min_speedup:.0f}x seed)", v,
                      seed[k] * min_speedup)
                 )
-    if update or not baseline:
+    new_bench = [k for k in measured if k not in baseline]
+    if update:
         doc["baseline_ops_per_sec"] = measured
         print(f"[{suite}] baseline updated")
-    if update or not baseline or new_seed:
+    elif new_bench:
+        doc["baseline_ops_per_sec"] = {
+            **baseline, **{k: measured[k] for k in new_bench}
+        }
+        print(f"[{suite}] first baseline for {', '.join(new_bench)}")
+    if update or new_bench or new_seed:
         bench_file.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {bench_file.relative_to(REPO_ROOT)}")
     return failures

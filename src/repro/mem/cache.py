@@ -1,26 +1,24 @@
 """Set-associative write-back cache model.
 
-Tag-array only: the data itself lives in the backing store, so the
-cache tracks *which lines are resident and dirty* and produces hit/miss
-timing plus write-back traffic. This is the standard decomposition for
-trace-driven simulators — functional state in one place, locality state
-in another — and keeps the model fast enough for 10^8-access workloads.
+Tag-array only: the data lives in the backing store, so the cache
+tracks *which lines are resident and dirty* and produces hit/miss
+timing plus write-back traffic.
 
-:class:`Cache` keeps exact LRU in per-set recency queues (C-speed
-ordered dicts mapping line -> way slot), and a NumPy tag array mirrors
-the way assignment so that :meth:`Cache.access_block` /
-:meth:`Cache.access_span` can classify a whole span of lines as
-hits/misses/write-backs in one vectorized pass. The tag array is
-materialized lazily on the first batched access, so caches that only
-ever see scalar traffic (the packet tier) pay nothing for it. Per-set
-state is likewise allocated on the set's first miss, so a cache costs
-only the sets a run touches.
+:class:`Cache` keeps one representation of its state: flat arrays over
+``sets x ways`` slots of the resident line's tag (``-1`` = invalid),
+the stamp of its last touch (``0`` = invalid) and its dirty bit,
+allocated on the cache's first miss. Exact LRU follows from the
+stamps: a miss evicts the smallest-stamp way, so invalid ways fill
+first. A ``line -> slot`` index keeps the scalar hit test one dict get.
+A batch of lines in distinct sets (:meth:`Cache.access_span`,
+:meth:`Cache.access_block`) is classified, evicted and installed with
+array operations and leaves the index to catch up lazily; short or
+conflicting batches replay :meth:`Cache.access` line by line.
 
-The executable exact-LRU specification, ``ReferenceCache``, lives with
-its differential suite (``tests/spec/cache.py``); the property tests in
-``tests/mem/test_cache_differential.py`` drive identical traces through
-both engines and require bit-identical stats, residency, dirtiness and
-flush output.
+``tests/spec/cache.py`` holds the exact-LRU specification,
+``ReferenceCache``; ``tests/mem/test_cache_differential.py`` drives
+identical traces through both and requires identical stats, residency,
+dirtiness and flush output.
 
 Lines are identified by *line address* (byte address // line size);
 callers that have full addresses use :meth:`Cache.line_of`.
@@ -28,9 +26,8 @@ callers that have full addresses use :meth:`Cache.line_of`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -94,14 +91,19 @@ class AccessResult:
 
 _HIT = AccessResult(True)
 
+#: batches of at most this many lines are replayed line by line: below
+#: it the vectorized pass's fixed cost exceeds the per-line work
+_REPLAY_MAX = 12
 
-def _empty_i64() -> np.ndarray:
-    return np.empty(0, dtype=np.int64)
+
+#: shared read-only empty line array for a batch's empty fields
+_NONE = np.empty(0, dtype=np.int64)
+_NONE.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class BlockResult:
-    """Outcome of one batched access over a span of lines."""
+class BlockResult(NamedTuple):
+    """Outcome of one batched access over a span of lines (a named
+    tuple: one is built per batch, at half a frozen dataclass's cost)."""
 
     hits: int
     misses: int
@@ -113,28 +115,18 @@ class BlockResult:
     hit_mask: np.ndarray
     #: every victim line evicted by a miss install, in miss order
     #: (coherence directories drop their sharer entries from this)
-    evicted_lines: np.ndarray = field(default_factory=_empty_i64)
+    evicted_lines: np.ndarray
     #: the dirty subset of ``evicted_lines`` — lines that owe a
     #: write-back, still in miss order
-    wb_lines: np.ndarray = field(default_factory=_empty_i64)
+    wb_lines: np.ndarray
     #: for each entry of ``wb_lines``, the index into ``miss_lines`` of
     #: the install that displaced it; a scalar replay performs the
     #: write-back immediately before fetching that miss
-    wb_miss_idx: np.ndarray = field(default_factory=_empty_i64)
+    wb_miss_idx: np.ndarray
 
     @property
     def accesses(self) -> int:
         return self.hits + self.misses
-
-
-def _empty_block() -> BlockResult:
-    return BlockResult(
-        hits=0,
-        misses=0,
-        writebacks=0,
-        miss_lines=np.empty(0, dtype=np.int64),
-        hit_mask=np.empty(0, dtype=bool),
-    )
 
 
 class Cache:
@@ -147,16 +139,16 @@ class Cache:
         self._nsets = config.num_sets
         self._ways = config.associativity
         self._wb = config.write_back
-        #: per-set recency queue: line -> way slot, LRU-first order;
-        #: ``None`` until the set's first miss (see :meth:`_new_set`)
-        self._sets: list[Optional[OrderedDict[int, int]]] = [None] * self._nsets
-        #: per-set free way slots (popped LIFO on install); allocated
-        #: together with the set's recency queue
-        self._free: list[Optional[list[int]]] = [None] * self._nsets
-        #: dirty line addresses (resident lines only)
-        self._dirty: set[int] = set()
-        #: lazy NumPy mirror of the tag array, (num_sets, ways), -1 =
-        #: invalid way; materialized by the first batched access
+        #: line -> flat slot ``set * ways + way``: an index over the
+        #: slot arrays that spans leave behind (see :meth:`_find`)
+        self._slot: dict[int, int] = {}
+        #: index size that triggers :meth:`_reindex`: stale entries may
+        #: at most match the cache's lines in number
+        self._max_index = 2 * config.num_lines
+        #: stamp of the most recent touch (valid stamps are >= 1)
+        self._clock = 0
+        #: per-slot tags; ``None`` until the cache's first miss, which
+        #: allocates it with the rest of the slot state (:meth:`_alloc`)
         self._tags: Optional[np.ndarray] = None
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -170,16 +162,63 @@ class Cache:
     def set_of(self, line: int) -> int:
         return line % self._nsets
 
-    def _new_set(self, si: int) -> OrderedDict[int, int]:
-        """Allocate set *si*'s recency queue and free-way list.
-
-        Per-set state is created on the set's first miss, so building a
-        cache costs O(1) in its set count and a run pays only for the
-        sets it touches.
+    def _alloc(self) -> None:
+        """Allocate the slot state, all ways invalid: flat per-slot tag,
+        recency-stamp and dirty-bit arrays, their (sets, ways) row views
+        and memoryviews (for scalar element access), the per-set flags
+        of :meth:`_find` and the eviction-order memo of :meth:`_victim`.
         """
-        s = self._sets[si] = OrderedDict()
-        self._free[si] = list(range(self._ways - 1, -1, -1))
-        return s
+        shape = (self._nsets, self._ways)
+        slots = self._nsets * self._ways
+        self._tags = np.full(slots, -1, dtype=np.int64)
+        self._stamp = np.zeros(slots, dtype=np.int64)
+        self._dirty = np.zeros(slots, dtype=bool)
+        self._tag_rows = self._tags.reshape(shape)
+        self._stamp_rows = self._stamp.reshape(shape)
+        self._unindexed = np.zeros(self._nsets, dtype=bool)
+        self._tag_mv = memoryview(self._tags)
+        self._stamp_mv = memoryview(self._stamp)
+        self._dirty_mv = memoryview(self._dirty)
+        self._unindexed_mv = memoryview(self._unindexed)
+        self._order: list[Optional[list[int]]] = [None] * self._nsets
+
+    def _find(self, line: int) -> Optional[int]:
+        """Slot holding *line*, or ``None`` if it is not resident.
+
+        Only the scalar path keeps the index exact. A span leaves the
+        entries of the lines it evicts in place (so an entry counts only
+        if its slot still holds the line) and does not index the lines
+        it installs; it flags their sets instead, and the first lookup
+        that misses the index in a flagged set indexes the whole set.
+        """
+        slot = self._slot.get(line)
+        if slot is not None and self._tag_mv[slot] == line:
+            return slot
+        si = line % self._nsets
+        if self._tags is None or not self._unindexed_mv[si]:
+            return None
+        return self._index_set(si, line)
+
+    def _index_set(self, si: int, line: int) -> Optional[int]:
+        """Index flagged set *si*; *line*'s slot if the set holds it."""
+        self._unindexed_mv[si] = False
+        found = None
+        index = self._slot
+        base = si * self._ways
+        for w, tag in enumerate(self._tag_rows[si].tolist()):
+            if tag >= 0:
+                index[tag] = base + w
+                if tag == line:
+                    found = base + w
+        if len(index) > self._max_index:
+            self._reindex()
+        return found
+
+    def _reindex(self) -> None:
+        """Rebuild the index from the tag array, dropping stale entries."""
+        slots = (self._tags >= 0).nonzero()[0]
+        self._slot = dict(zip(self._tags[slots].tolist(), slots.tolist()))
+        self._unindexed.fill(False)
 
     # -- core operation ----------------------------------------------------
     def access(self, line: int, is_write: bool) -> AccessResult:
@@ -189,39 +228,70 @@ class Cache:
         the LRU victim of the set, if the set was full, is evicted —
         with ``writeback=True`` if it was dirty.
         """
-        si = line % self._nsets
-        s = self._sets[si]
-        if s is None:
-            s = self._new_set(si)
-        w = s.get(line)
-        if w is not None:
-            s.move_to_end(line)
-            if is_write:
-                self._dirty.add(line)
-            self.stats.hits += 1
-            return _HIT
+        slot = self._slot.get(line)
+        if slot is None or self._tag_mv[slot] != line:
+            return self._miss(line, is_write)
+        self._clock = clock = self._clock + 1
+        self._stamp_mv[slot] = clock
+        if is_write:
+            self._dirty_mv[slot] = True
+        self.stats.hits += 1
+        return _HIT
 
+    def _miss(self, line: int, is_write: bool) -> AccessResult:
+        """Index miss: a line a span installed, or a real miss that
+        evicts the set's LRU way and installs *line*."""
+        si = line % self._nsets
+        if self._tags is None:
+            self._alloc()
+        elif self._unindexed_mv[si] and self._index_set(si, line) is not None:
+            return self.access(line, is_write)
         st = self.stats
         st.misses += 1
-        evicted: Optional[int] = None
+        slot = self._victim(si)
+        tags = self._tag_mv
+        evicted: Optional[int] = tags[slot]
         writeback = False
-        free = self._free[si]
-        if free:
-            w = free.pop()
-        else:
-            evicted, w = s.popitem(last=False)
+        index = self._slot
+        if evicted >= 0:
+            index.pop(evicted, None)
             st.evictions += 1
-            if evicted in self._dirty:
-                self._dirty.discard(evicted)
-                if self._wb:
-                    writeback = True
-                    st.writebacks += 1
-        s[line] = w
-        if is_write and self._wb:
-            self._dirty.add(line)
-        if self._tags is not None:
-            self._tags[si, w] = line
+            if self._dirty_mv[slot] and self._wb:
+                writeback = True
+                st.writebacks += 1
+        else:
+            evicted = None
+        self._clock = clock = self._clock + 1
+        tags[slot] = line
+        self._stamp_mv[slot] = clock
+        self._dirty_mv[slot] = is_write and self._wb
+        index[line] = slot
+        if len(index) > self._max_index:
+            self._reindex()
         return AccessResult(False, evicted, writeback)
+
+    def _victim(self, si: int) -> int:
+        """Slot of set *si*'s least recently used (or an invalid) way.
+
+        Stamps only grow, so a way touched after its set's ways were
+        ranked has a stamp above the ranking's clock, and the LRU way
+        is the first ranked way that is still untouched. A ranking is
+        ``[clock, way, ...]`` with the LRU way last; it is recomputed
+        when it runs out, and dropped when a way is invalidated (the
+        one event that lowers a stamp).
+        """
+        base = si * self._ways
+        order = self._order[si]
+        if order:
+            since = order[0]
+            stamp = self._stamp_mv
+            while len(order) > 1:
+                slot = base + order.pop()
+                if stamp[slot] <= since:
+                    return slot
+        order = self._stamp_rows[si].argsort(kind="stable")[::-1].tolist()
+        self._order[si] = [self._clock, *order]
+        return base + self._order[si].pop()
 
     # -- batched operation -------------------------------------------------
     def access_span(self, first_line: int, count: int, is_write: bool) -> BlockResult:
@@ -229,25 +299,21 @@ class Cache:
 
         Semantically identical to *count* ascending :meth:`access`
         calls, but hits/misses/write-backs for the whole span are
-        classified in one vectorized pass against the tag array.
+        classified in one vectorized pass over the slot arrays.
         """
-        if count <= 0:
-            return _empty_block()
+        if count <= _REPLAY_MAX:
+            return self._replay(range(first_line, first_line + count), is_write)
         nsets = self._nsets
         if count <= nsets:
             lines = np.arange(first_line, first_line + count, dtype=np.int64)
             return self._block_unique_sets(lines, lines % nsets, is_write)
         # A span longer than the set count revisits sets; process it in
         # set-count chunks, each of which maps to all-distinct sets.
-        parts = []
-        pos, remaining = first_line, count
-        while remaining:
-            take = min(remaining, nsets)
-            lines = np.arange(pos, pos + take, dtype=np.int64)
-            parts.append(self._block_unique_sets(lines, lines % nsets, is_write))
-            pos += take
-            remaining -= take
-        return _combine_blocks(parts)
+        end = first_line + count
+        return _combine_blocks([
+            self.access_span(pos, min(nsets, end - pos), is_write)
+            for pos in range(first_line, end, nsets)
+        ])
 
     def access_block(
         self, lines: "np.ndarray | list[int]", is_write: bool
@@ -256,68 +322,45 @@ class Cache:
 
         Equivalent to scalar :meth:`access` calls in input order. Spans
         and other batches whose lines fall into distinct sets take the
-        vectorized pass; batches with intra-set conflicts (duplicate
-        lines, or more lines than sets) are replayed scalar to preserve
-        exact LRU order.
+        vectorized pass; short batches and batches with intra-set
+        conflicts (duplicate lines, or more lines than sets) are
+        replayed line by line.
         """
-        arr = np.ascontiguousarray(lines, dtype=np.int64)
+        arr = np.array(lines, dtype=np.int64)
         n = int(arr.size)
-        if n == 0:
-            return _empty_block()
-        if n == 1:
-            r = self.access(int(arr[0]), is_write)
-            hit_mask = np.array([r.hit])
-            victims = (
-                np.array([r.evicted], dtype=np.int64)
-                if r.evicted is not None
-                else _empty_i64()
-            )
-            return BlockResult(
-                hits=int(r.hit),
-                misses=1 - int(r.hit),
-                writebacks=int(r.writeback),
-                miss_lines=arr[~hit_mask],
-                hit_mask=hit_mask,
-                evicted_lines=victims,
-                wb_lines=victims if r.writeback else _empty_i64(),
-                wb_miss_idx=(
-                    np.zeros(1, dtype=np.int64) if r.writeback else _empty_i64()
-                ),
-            )
-        first = int(arr[0])
-        if int(arr[-1]) - first == n - 1 and bool((arr[1:] > arr[:-1]).all()):
-            # strictly increasing with matching extent ⇒ consecutive span
-            return self.access_span(first, n, is_write)
         sets = arr % self._nsets
-        if np.unique(sets).size == n:
+        if n > _REPLAY_MAX and np.unique(sets).size == n:
             return self._block_unique_sets(arr, sets, is_write)
-        # Conflicting sets: exact scalar replay in input order.
-        hit_mask = np.empty(n, dtype=bool)
-        writebacks = 0
+        return self._replay(arr.tolist(), is_write)
+
+    def _replay(self, lines, is_write: bool) -> BlockResult:
+        """Scalar :meth:`access` calls in input order, collected into a
+        :class:`BlockResult`: the exact path for batches with intra-set
+        conflicts, and the cheaper one for short batches, whose cost is
+        the vectorized pass's fixed per-call overhead."""
+        hit_l: list[bool] = []
+        miss_l: list[int] = []
         evicted_l: list[int] = []
         wb_lines_l: list[int] = []
         wb_idx_l: list[int] = []
-        nmiss = 0
         access = self.access
-        for i, line in enumerate(arr.tolist()):
+        for line in lines:
             r = access(line, is_write)
-            hit_mask[i] = r.hit
+            hit_l.append(r.hit)
             if r.hit:
                 continue
             if r.evicted is not None:
                 evicted_l.append(r.evicted)
                 if r.writeback:
-                    writebacks += 1
                     wb_lines_l.append(r.evicted)
-                    wb_idx_l.append(nmiss)
-            nmiss += 1
-        hits = n - nmiss
+                    wb_idx_l.append(len(miss_l))
+            miss_l.append(line)
         return BlockResult(
-            hits=hits,
-            misses=nmiss,
-            writebacks=writebacks,
-            miss_lines=arr[~hit_mask],
-            hit_mask=hit_mask,
+            hits=len(hit_l) - len(miss_l),
+            misses=len(miss_l),
+            writebacks=len(wb_lines_l),
+            miss_lines=np.array(miss_l, dtype=np.int64),
+            hit_mask=np.array(hit_l, dtype=bool),
             evicted_lines=np.array(evicted_l, dtype=np.int64),
             wb_lines=np.array(wb_lines_l, dtype=np.int64),
             wb_miss_idx=np.array(wb_idx_l, dtype=np.int64),
@@ -329,103 +372,68 @@ class Cache:
         """Vectorized pass for a batch whose lines map to distinct sets.
 
         With distinct sets, no line in the batch can hit, evict, or
-        reorder another — the outcome is order-independent, so hit
-        classification runs as one array comparison while LRU/dirty
-        bookkeeping stays exact.
+        reorder another, so every step is one array operation: line
+        ``i`` takes stamp ``clock + 1 + i`` (the stamp a scalar replay
+        in input order would give it), a hit refreshes its slot, and a
+        miss installs into its set's smallest-stamp way.
         """
         if self._tags is None:
-            self._materialize_tags()
-        tags = self._tags
-        hit_mask = (tags[sets] == lines[:, None]).any(axis=1)
-        miss_idx = np.nonzero(~hit_mask)[0]
+            self._alloc()
+        ways = self._ways
         n = lines.size
-        nmiss = int(miss_idx.size)
-        nhits = n - nmiss
+        match = self._tag_rows[sets] == lines[:, None]
+        hit_mask = match.any(axis=1)
+        nhits = int(np.count_nonzero(hit_mask))
         st = self.stats
         st.hits += nhits
-        st.misses += nmiss
-
-        sets_l = sets.tolist()
-        lines_l = lines.tolist()
-        set_list = self._sets
-        dirty = self._dirty
+        st.misses += n - nhits
+        stamps = np.arange(self._clock + 1, self._clock + 1 + n, dtype=np.int64)
+        self._clock += n
         if nhits:
-            hit_it = (
-                range(n) if nmiss == 0 else np.nonzero(hit_mask)[0].tolist()
-            )
-            if is_write:
-                for i in hit_it:
-                    line = lines_l[i]
-                    set_list[sets_l[i]].move_to_end(line)
-                    dirty.add(line)
+            if nhits == n:
+                hslot = sets * ways + match.argmax(axis=1)
+                self._stamp[hslot] = stamps
             else:
-                for i in hit_it:
-                    set_list[sets_l[i]].move_to_end(lines_l[i])
-
-        writebacks = 0
-        evicted_l: list[int] = []
-        wb_lines_l: list[int] = []
-        wb_idx_l: list[int] = []
-        if nmiss:
-            free_list = self._free
-            wb_enabled = self._wb
-            install_dirty = is_write and wb_enabled
-            evictions = 0
-            flat_idx: list[int] = []
-            ways = self._ways
-            for k, i in enumerate(miss_idx.tolist()):
-                si = sets_l[i]
-                line = lines_l[i]
-                s = set_list[si]
-                if s is None:
-                    s = self._new_set(si)
-                fr = free_list[si]
-                if fr:
-                    w = fr.pop()
-                else:
-                    victim, w = s.popitem(last=False)
-                    evictions += 1
-                    evicted_l.append(victim)
-                    if victim in dirty:
-                        dirty.discard(victim)
-                        if wb_enabled:
-                            writebacks += 1
-                            wb_lines_l.append(victim)
-                            wb_idx_l.append(k)
-                s[line] = w
-                if install_dirty:
-                    dirty.add(line)
-                flat_idx.append(si * ways + w)
-            st.evictions += evictions
-            st.writebacks += writebacks
-            tags.ravel()[flat_idx] = lines[miss_idx]
-
+                hslot = sets[hit_mask] * ways + match[hit_mask].argmax(axis=1)
+                self._stamp[hslot] = stamps[hit_mask]
+            if is_write:
+                self._dirty[hslot] = True
+            if nhits == n:
+                return BlockResult(n, 0, 0, _NONE, hit_mask, _NONE, _NONE, _NONE)
+            miss = ~hit_mask
+            lines, sets, stamps = lines[miss], sets[miss], stamps[miss]
+        vslot = sets * ways + self._stamp_rows[sets].argmin(axis=1)
+        victim = self._tags[vslot]
+        evicted = victim[victim >= 0]
+        if self._wb:
+            wb_miss_idx = self._dirty[vslot].nonzero()[0]
+            wb_lines = victim[wb_miss_idx]
+        else:
+            wb_miss_idx = wb_lines = _NONE
+        st.evictions += evicted.size
+        st.writebacks += wb_lines.size
+        self._tags[vslot] = lines
+        self._stamp[vslot] = stamps
+        self._dirty[vslot] = is_write and self._wb
+        self._unindexed[sets] = True
         return BlockResult(
             hits=nhits,
-            misses=nmiss,
-            writebacks=writebacks,
-            miss_lines=lines[miss_idx],
+            misses=n - nhits,
+            writebacks=wb_lines.size,
+            miss_lines=lines,
             hit_mask=hit_mask,
-            evicted_lines=np.array(evicted_l, dtype=np.int64),
-            wb_lines=np.array(wb_lines_l, dtype=np.int64),
-            wb_miss_idx=np.array(wb_idx_l, dtype=np.int64),
+            evicted_lines=evicted,
+            wb_lines=wb_lines,
+            wb_miss_idx=wb_miss_idx,
         )
-
-    def _materialize_tags(self) -> None:
-        tags = np.full((self._nsets, self._ways), -1, dtype=np.int64)
-        for si, s in enumerate(self._sets):
-            if s is not None:
-                for line, w in s.items():
-                    tags[si, w] = line
-        self._tags = tags
 
     # -- coherence hooks ---------------------------------------------------
     def contains(self, line: int) -> bool:
-        s = self._sets[line % self._nsets]
-        return s is not None and line in s
+        return self._find(line) is not None
 
     def is_dirty(self, line: int) -> bool:
-        return line in self._dirty
+        slot = self._find(line)
+        return slot is not None and self._dirty_mv[slot]
 
     def invalidate(self, line: int) -> bool:
         """Drop *line* (coherence probe). Returns True if it was dirty.
@@ -434,19 +442,18 @@ class Cache:
         transfer — the expensive case the paper's architecture avoids
         across nodes.
         """
-        si = line % self._nsets
-        s = self._sets[si]
-        w = s.pop(line, None) if s is not None else None
-        if w is None:
+        slot = self._find(line)
+        if slot is None:
             raise CoherenceError(
                 f"{self.name}: invalidate of non-resident line {line:#x}"
             )
-        self._free[si].append(w)
-        if self._tags is not None:
-            self._tags[si, w] = -1
+        del self._slot[line]
+        self._order[line % self._nsets] = None
+        self._tag_mv[slot] = -1
+        self._stamp_mv[slot] = 0
+        was_dirty = self._dirty_mv[slot]
+        self._dirty_mv[slot] = False
         self.stats.invalidations_received += 1
-        was_dirty = line in self._dirty
-        self._dirty.discard(line)
         return was_dirty
 
     def flush(self) -> list[int]:
@@ -455,41 +462,34 @@ class Cache:
         Models the explicit cache flush the prototype performs between
         a write phase and a parallel read-only phase (Section IV-B).
         """
-        dirty_set = self._dirty
         dirty: list[int] = []
-        if dirty_set:
+        if self._tags is not None:
             # set-index order, then LRU order within a set: the
             # write-back order the reference model produces
-            for s in self._sets:
-                if s:
-                    for line in s:
-                        if line in dirty_set:
-                            dirty.append(line)
-        self._sets = [None] * self._nsets
-        self._free = [None] * self._nsets
-        dirty_set.clear()
-        if self._tags is not None:
+            slots = self._dirty.nonzero()[0]
+            order = np.lexsort((self._stamp[slots], slots // self._ways))
+            dirty = self._tags[slots[order]].tolist()
+            self._slot.clear()
             self._tags.fill(-1)
+            self._stamp.fill(0)
+            self._dirty.fill(False)
+            self._unindexed.fill(False)
+            self._order = [None] * self._nsets
         self.stats.flushes += 1
         self.stats.writebacks += len(dirty)
         return dirty
 
     @property
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets if s is not None)
+        if self._tags is None:
+            return 0
+        return int(np.count_nonzero(self._tags >= 0))
 
 
 def _combine_blocks(parts: list[BlockResult]) -> BlockResult:
-    if len(parts) == 1:
-        return parts[0]
     # wb_miss_idx entries index each part's own miss list; shift them by
     # the miss count of the preceding parts to index the merged list.
-    wb_idx_parts = []
-    miss_base = 0
-    for p in parts:
-        if p.wb_miss_idx.size:
-            wb_idx_parts.append(p.wb_miss_idx + miss_base)
-        miss_base += p.misses
+    miss_base = np.cumsum([0] + [p.misses for p in parts[:-1]])
     return BlockResult(
         hits=sum(p.hits for p in parts),
         misses=sum(p.misses for p in parts),
@@ -498,8 +498,7 @@ def _combine_blocks(parts: list[BlockResult]) -> BlockResult:
         hit_mask=np.concatenate([p.hit_mask for p in parts]),
         evicted_lines=np.concatenate([p.evicted_lines for p in parts]),
         wb_lines=np.concatenate([p.wb_lines for p in parts]),
-        wb_miss_idx=(
-            np.concatenate(wb_idx_parts) if wb_idx_parts else _empty_i64()
+        wb_miss_idx=np.concatenate(
+            [p.wb_miss_idx + b for p, b in zip(parts, miss_base)]
         ),
     )
-

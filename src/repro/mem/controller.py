@@ -10,6 +10,14 @@ the response to the ``reply_to`` store recorded in the packet metadata
 Bank-level parallelism: up to ``banks`` requests are in flight at once,
 with per-bank serialization — matching how an Opteron north bridge
 overlaps independent accesses.
+
+A burst packet (``line_count > 1``) stands for that many back-to-back
+line accesses in one bank grant and one service delay. Its lines must
+be contiguous in the controller's local offsets (one interleave stripe,
+which ``burst_align_bytes`` guarantees on the issuing side), and
+:meth:`~repro.mem.dram.DRAMTiming.burst_terms` times them by DRAM row
+runs with the same per-line terms, summed in the same order, as a
+line-by-line walk (``tests/spec/dram.py``).
 """
 
 from __future__ import annotations
@@ -112,15 +120,20 @@ class MemoryController(HTDevice):
             raise AddressError(
                 f"{self.name}: does not own address {packet.addr:#x}"
             )
+        offset = self._local_offset(packet.addr)
         n = packet.line_count
-        if n > 1 and not self.owns(packet.addr + packet.size - packet.size // n):
-            raise AddressError(
-                f"{self.name}: burst [{packet.addr:#x}, "
-                f"{packet.addr + packet.size:#x}) crosses ownership boundary"
-            )
+        if n > 1:
+            # the last line must be ours and, for an interleaved
+            # controller, in the same stripe as the first
+            span = packet.size - packet.size // n
+            last = packet.addr + span
+            if not self.owns(last) or self._local_offset(last) - offset != span:
+                raise AddressError(
+                    f"{self.name}: burst [{packet.addr:#x}, "
+                    f"{packet.addr + packet.size:#x}) crosses ownership boundary"
+                )
         if self.sim.audit is not None:
             self.sim.audit.record("mc", packet)
-        offset = self._local_offset(packet.addr)
         bank = self._banks[self.timing.bank_of(offset)]
         bank.request_then(self._granted, (packet, done, bank, offset, self.sim.now))
 
@@ -131,17 +144,9 @@ class MemoryController(HTDevice):
             if n == 1:
                 service = self.config.controller_ns + self.timing.access_ns(offset)
             else:
-                # A burst stands for n back-to-back line transactions;
-                # walk them in address order so the row-buffer state
-                # evolves exactly as the scalar sequence would, then
-                # charge the whole span in one event.
-                line_bytes = packet.size // n
+                # ``handle`` checked the burst is contiguous here
                 service = sum(
-                    self.config.controller_ns
-                    + self.timing.access_ns(
-                        self._local_offset(packet.addr + k * line_bytes)
-                    )
-                    for k in range(n)
+                    self.timing.burst_terms(offset, n, packet.size // n)
                 )
             self.sim.call_later(service, self._serviced, job)
         except BaseException:

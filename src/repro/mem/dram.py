@@ -46,6 +46,43 @@ class DRAMTiming:
         self.row_misses.add()
         return self.config.row_miss_ns
 
+    def burst_terms(self, offset: int, count: int, line_bytes: int) -> list[float]:
+        """Per-line service terms of a burst of *count* back-to-back
+        line accesses starting at controller-local *offset*.
+
+        Returns ``controller_ns + row_hit_ns`` or ``controller_ns +
+        row_miss_ns`` for each line in address order, and leaves the
+        open-row state and counters exactly as *count* :meth:`access_ns`
+        calls would. Summing the list therefore adds the same floats in
+        the same order as the per-line walk. The walk goes by row runs:
+        only the first line of a run can miss its bank's open row, and
+        the rest of the run hits it.
+        """
+        cfg = self.config
+        row_bytes, banks = cfg.row_bytes, cfg.banks
+        hit = cfg.controller_ns + cfg.row_hit_ns
+        miss = cfg.controller_ns + cfg.row_miss_ns
+        open_rows = self._open_rows
+        terms: list[float] = []
+        misses = 0
+        addr, end = offset, offset + count * line_bytes
+        while addr < end:
+            chunk = addr // row_bytes
+            # lines whose start address falls inside this row
+            run = -(-(min(end, (chunk + 1) * row_bytes) - addr) // line_bytes)
+            bank, row = chunk % banks, chunk // banks
+            if open_rows[bank] == row:
+                terms += [hit] * run
+            else:
+                open_rows[bank] = row
+                misses += 1
+                terms.append(miss)
+                terms += [hit] * (run - 1)
+            addr += run * line_bytes
+        self.row_hits.add(count - misses)
+        self.row_misses.add(misses)
+        return terms
+
     def hit_rate(self) -> float:
         """Fraction of accesses that hit an open row so far."""
         total = self.row_hits.value + self.row_misses.value

@@ -68,29 +68,46 @@ class TestBatchEquivalence:
             writebacks += r.writeback
         return hits, misses, writebacks, hit_mask
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_mixed_trace(self, seed):
-        """Interleave scalar accesses, spans, scattered blocks and
-        blocks with intra-set conflicts; every observable must match."""
-        cfg = _tiny(ways=4, sets=16)
+    @pytest.mark.parametrize(
+        "seed, write_back",
+        [pytest.param(seed, True, id=str(seed)) for seed in range(6)]
+        + [pytest.param(seed, False, id=f"write_through-{seed}")
+           for seed in range(6)],
+    )
+    def test_random_mixed_trace(self, seed, write_back):
+        """Interleave scalar accesses, spans, scattered blocks, blocks
+        with intra-set conflicts, invalidations of resident lines and
+        flushes; every observable must match."""
+        cfg = _tiny(ways=4, sets=16, write_back=write_back)
         cache, ref = Cache(cfg), ReferenceCache(cfg)
         rng = np.random.default_rng(100 + seed)
         for _ in range(300):
-            kind = rng.integers(0, 4)
+            kind = rng.integers(0, 6)
             is_write = bool(rng.random() < 0.4)
             if kind == 0:  # scalar
                 line = int(rng.integers(0, 200))
                 a, b = cache.access(line, is_write), ref.access(line, is_write)
-                assert (a.hit, a.writeback) == (b.hit, b.writeback)
+                assert (a.hit, a.evicted, a.writeback) == (
+                    b.hit, b.evicted, b.writeback)
+                continue
+            if kind == 4:  # coherence probe of a resident line
+                resident = [l for l in range(200) if ref.contains(l)]
+                if resident:
+                    line = resident[int(rng.integers(0, len(resident)))]
+                    assert cache.invalidate(line) == ref.invalidate(line)
+                continue
+            if kind == 5:
+                if rng.random() < 0.2:  # phase-end flush, now and then
+                    assert cache.flush() == ref.flush()
                 continue
             if kind == 1:  # consecutive span (may exceed the set count)
                 first = int(rng.integers(0, 200))
                 count = int(rng.integers(1, 40))
                 res = cache.access_span(first, count, is_write)
                 batch = np.arange(first, first + count)
-            elif kind == 2:  # scattered block, distinct sets likely
-                batch = rng.choice(200, size=int(rng.integers(1, 12)),
-                                   replace=False)
+            elif kind == 2:  # scattered block over distinct sets
+                k = int(rng.integers(1, 17))
+                batch = rng.permutation(16)[:k] + 16 * rng.integers(0, 12, k)
                 res = cache.access_block(batch, is_write)
             else:  # conflicting block: duplicates force scalar replay
                 batch = rng.integers(0, 40, size=int(rng.integers(2, 20)))
@@ -295,15 +312,45 @@ class TestLazySets:
             cache.access(line, False)
             ref.access(line, False)
         assert cache.resident_lines == ref.resident_lines == 3
-        # the first batched access materializes the tag mirror over a
-        # cache whose other sets were never allocated
+        # the batched access classifies a cache whose other sets were
+        # never touched
         res = cache.access_span(0, 8, True)
         mask = [ref.access(line, True).hit for line in range(8)]
         assert res.hits == sum(mask) == 2
         assert res.hit_mask.tolist() == mask
-        for si in range(8):
-            resident = {line for line in range(24)
-                        if line % 8 == si and ref.contains(line)}
-            assert set(cache._tags[si][cache._tags[si] >= 0]) == resident
+        for line in range(24):
+            assert cache.contains(line) == ref.contains(line), line
         _assert_same_state(cache, ref, range(24))
+        assert cache.flush() == ref.flush()
+
+
+class TestSlotIndex:
+    """Spans leave the scalar path's ``line -> slot`` index stale (the
+    lines they evict keep their entries, the lines they install get
+    none); scalar lookups, invalidations and the index rebuild that
+    drops stale entries must still match the spec exactly."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scalar_rounds_between_evicting_spans(self, seed):
+        cfg = _tiny(ways=2, sets=8)
+        cache, ref = Cache(cfg), ReferenceCache(cfg)
+        rng = np.random.default_rng(70 + seed)
+        for rnd in range(40):
+            # scalar touches index their lines; some hit span installs
+            for line in rng.integers(0, 64, size=24).tolist():
+                is_write = bool(rng.random() < 0.5)
+                a, b = cache.access(line, is_write), ref.access(line, is_write)
+                assert (a.hit, a.evicted, a.writeback) == (
+                    b.hit, b.evicted, b.writeback)
+            # a 16-line span (vectorized) evicts most of the index
+            first = int(rng.integers(0, 64))
+            res = cache.access_span(first, 16, rnd % 3 == 0)
+            mask = [ref.access(l, rnd % 3 == 0).hit
+                    for l in range(first, first + 16)]
+            assert res.hit_mask.tolist() == mask
+            if rnd % 5 == 4:
+                resident = [l for l in range(80) if ref.contains(l)]
+                line = resident[int(rng.integers(0, len(resident)))]
+                assert cache.invalidate(line) == ref.invalidate(line)
+            _assert_same_state(cache, ref, range(80))
         assert cache.flush() == ref.flush()

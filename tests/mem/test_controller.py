@@ -117,3 +117,47 @@ def test_owns_predicate(sim):
     assert mc.owns(1 << 20)
     assert mc.owns((1 << 21) - 1)
     assert not mc.owns(1 << 21)
+
+
+@pytest.mark.parametrize("queue_depth", [2, 32])
+def test_queue_depth_blocks_extra_injectors(sim, queue_depth):
+    """Five injectors put one read each at t=0 into a one-bank
+    controller. With ``queue_depth=2`` the ingress fills: the extra
+    puts are accepted only as the dispatcher drains it, while the
+    one-bank service order, and so every completion time, is the same
+    as with a deep queue."""
+    mc = MemoryController(
+        sim,
+        DRAMConfig(capacity_bytes=1 << 20, banks=1, queue_depth=queue_depth),
+        BackingStore(1 << 20),
+        base=0,
+    )
+    reply = Store(sim)
+    accepted = {}
+    done = {}
+
+    def injector(tag):
+        pkt = make_read_req(1, 1, tag * 64, 64, tag=tag)
+        pkt.meta["reply_to"] = reply
+        yield mc.ingress.put(pkt)
+        accepted[tag] = sim.now
+
+    def collector():
+        for _ in range(5):
+            resp = yield reply.get()
+            done[resp.tag] = sim.now
+
+    for tag in range(1, 6):
+        sim.process(injector(tag))
+    sim.process(collector())
+    sim.run()
+    # one row miss (10 + 90 ns), then row hits (10 + 45 ns), serialized
+    assert done == {1: 100.0, 2: 155.0, 3: 210.0, 4: 265.0, 5: 320.0}
+    if queue_depth == 2:
+        assert mc.ingress.max_level == 2
+        # three fit at t=0 (one taken by the idle dispatcher, two
+        # buffered); each later put waits for the dispatcher to free a
+        # place when it takes the next packet
+        assert accepted == {1: 0.0, 2: 0.0, 3: 0.0, 4: 100.0, 5: 155.0}
+    else:
+        assert accepted == dict.fromkeys(range(1, 6), 0.0)

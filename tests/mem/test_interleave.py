@@ -13,8 +13,10 @@ from repro.config import (
     NodeConfig,
 )
 from repro.errors import AddressError, ConfigError
+from repro.ht.packet import make_burst_read_req
 from repro.mem.backing import BackingStore
 from repro.mem.controller import MemoryController
+from repro.sim.resources import Store
 from repro.units import mib
 
 
@@ -65,6 +67,24 @@ class TestOwnership:
         with pytest.raises(AddressError):
             MemoryController(sim, DRAMConfig(capacity_bytes=mib(8)),
                              backing, 0, interleave=(4096, 0, 4))
+
+    def test_burst_leaving_its_stripe_rejected(self, sim):
+        """A burst must stay in one stripe: one that runs through the
+        other controller's stripe into this controller's next stripe
+        owns both of its ends but is not contiguous here."""
+        mc = self._mc(sim, idx=0, n=2)
+        reply = Store(sim)
+        inside = make_burst_read_req(1, 1, 4096 - 256, 64, 2, tag=1)
+        across = make_burst_read_req(1, 1, 4096 - 128, 64, 64 + 4, tag=2)
+        assert mc.owns(across.addr) and mc.owns(across.addr + across.size - 64)
+        for pkt in (inside, across):
+            pkt.meta["reply_to"] = reply
+        mc.deliver(inside)
+        sim.run()
+        assert reply.try_get().tag == 1
+        mc.deliver(across)
+        with pytest.raises(AddressError, match="crosses ownership boundary"):
+            sim.run()
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
